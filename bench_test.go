@@ -255,12 +255,12 @@ func BenchmarkAllocatorModes(b *testing.B) {
 
 func BenchmarkDetectorComparison(b *testing.B) {
 	tc, _ := sipp.CaseByID("T2")
-	for _, kind := range []core.DetectorKind{core.DetectorLockset, core.DetectorDJIT, core.DetectorHybrid} {
-		b.Run(kind.String(), func(b *testing.B) {
+	for _, tool := range []string{"lockset", "djit", "hybrid"} {
+		b.Run(tool, func(b *testing.B) {
 			var locations int
 			for i := 0; i < b.N; i++ {
 				opt := harness.DefaultRunOptions()
-				res, err := runCaseWithDetector(tc, kind, opt)
+				res, err := runCaseWithTool(tc, tool, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -271,14 +271,18 @@ func BenchmarkDetectorComparison(b *testing.B) {
 	}
 }
 
-// runCaseWithDetector reruns a SIPp case under an arbitrary detector kind.
-func runCaseWithDetector(tc sipp.TestCase, kind core.DetectorKind, opt harness.RunOptions) (int, error) {
+// runCaseWithTool reruns a SIPp case under one named race detector.
+func runCaseWithTool(tc sipp.TestCase, tool string, opt harness.RunOptions) (int, error) {
 	o := core.Options{
-		Detector: kind,
-		Lockset:  lockset.ConfigHWLCDR(),
-		Seed:     opt.Seed,
-		Quantum:  opt.Quantum,
+		Lockset: lockset.ConfigHWLCDR(),
+		Seed:    opt.Seed,
+		Quantum: opt.Quantum,
 	}
+	tools, err := o.ParseTools(tool)
+	if err != nil {
+		return 0, err
+	}
+	o.Tools = tools
 	rt := cppmodel.NewRuntime(cppmodel.Options{AnnotateDeletes: true, ForceNew: opt.ForceNew})
 	res, err := core.Run(o, func(main *vm.Thread) {
 		lc := libc.New(main)
@@ -300,9 +304,13 @@ func runCaseWithDetector(tc sipp.TestCase, kind core.DetectorKind, opt harness.R
 // ---- E13: deadlock detection ----
 
 func BenchmarkDeadlockDetector(b *testing.B) {
+	deadlockTools, err := core.Options{}.ParseTools("lockset,deadlock")
+	if err != nil {
+		b.Fatal(err)
+	}
 	var cycles int
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(core.Options{Seed: 1, Deadlocks: true}, func(main *vm.Thread) {
+		res, err := core.Run(core.Options{Seed: 1, Tools: deadlockTools}, func(main *vm.Thread) {
 			v := main.VM()
 			m1, m2, m3 := v.NewMutex("A"), v.NewMutex("B"), v.NewMutex("C")
 			pair := func(x, y *vm.Mutex) func(*vm.Thread) {

@@ -28,16 +28,13 @@
 //	perfbench -json -alloc -parallel 4 -ingest > BENCH_$(date +%F).json
 //	perfbench -check BENCH_2026-08-07.json
 //	perfbench -compare BENCH_2026-08-07.json BENCH_2026-09-01.json
-//	perfbench -tooltime
 //	perfbench -tools lockset,djit,deadlock,memcheck,highlevel
 //	perfbench -ingest -ingest-sessions 1,8,64
 //
 // -compare OLD.json NEW.json prints a benchstat-style delta table between two
 // BENCH documents and exits non-zero if sequential replay allocs/event
 // regressed by more than -compare-tolerance (default 10%) — the CI
-// bench-regression gate. -tooltime brackets every delivery in the one-pass
-// comparative mode with clock reads and prints a per-tool time attribution
-// table (residual = decode + dispatch).
+// bench-regression gate.
 package main
 
 import (
@@ -69,7 +66,6 @@ func main() {
 		check          = flag.String("check", "", "validate an existing BENCH JSON file against the current schema and exit")
 		compare        = flag.Bool("compare", false, "compare two BENCH JSON files (old new) and exit; non-zero on allocs/event regression beyond -compare-tolerance")
 		compareTol     = flag.Float64("compare-tolerance", 0.10, "relative sequential-replay allocs/event regression tolerated by -compare")
-		toolTime       = flag.Bool("tooltime", false, "measure per-tool wall time in the one-pass comparative mode (adds two clock reads per delivery)")
 		ingest         = flag.Bool("ingest", false, "also measure live-ingest throughput through the trace-ingest server")
 		ingestSessions = flag.String("ingest-sessions", "1,8,64", "comma-separated concurrent session counts for -ingest")
 		ingestShards   = flag.Int("ingest-shards", 1, "per-session engine shards for -ingest (1 = sequential per session)")
@@ -131,7 +127,6 @@ func main() {
 	wr := w
 	wr.Blocks = *slots
 	wr.MeasureAllocs = *alloc
-	wr.ToolTime = *toolTime
 	best := map[harness.PerfMode]harness.PerfResult{}
 	for r := 0; r < *repeat; r++ {
 		results, err := w.Overhead()
@@ -316,30 +311,6 @@ func main() {
 			locs += fmt.Sprintf("%s=%d", n, op.Locations[n])
 		}
 		fmt.Printf("%-14s %14.1f   %s\n", op.Mode, op.NsPerEvt, locs)
-	}
-	if *toolTime {
-		for _, op := range onePass {
-			if len(op.ToolNs) == 0 {
-				continue
-			}
-			names := make([]string, 0, len(op.ToolNs))
-			var toolTotal int64
-			for n, ns := range op.ToolNs {
-				names = append(names, n)
-				toolTotal += ns
-			}
-			sort.Strings(names)
-			fmt.Printf("\nper-tool time, %s mode (%d events):\n\n", op.Mode, op.Events)
-			fmt.Printf("%-14s %14s %12s\n", "tool", "ns/event", "share")
-			for _, n := range names {
-				fmt.Printf("%-14s %14.1f %11.1f%%\n", n,
-					float64(op.ToolNs[n])/float64(op.Events), float64(op.ToolNs[n])/float64(op.NsTotal)*100)
-			}
-			if resid := op.NsTotal - toolTotal; resid > 0 {
-				fmt.Printf("%-14s %14.1f %11.1f%%   (decode + dispatch)\n", "residual",
-					float64(resid)/float64(op.Events), float64(resid)/float64(op.NsTotal)*100)
-			}
-		}
 	}
 	if *tools == "" {
 		// Only apples to apples: with extra -tools the one-pass run analyses

@@ -1,15 +1,20 @@
 // Command racecheck runs one of the built-in demonstration workloads under a
-// chosen detector configuration and prints the Helgrind-style report — the
-// interactive entry point to the library, analogous to invoking
+// chosen tool set and prints the Helgrind-style report — the interactive
+// entry point to the library, analogous to invoking
 // `valgrind --tool=helgrind ./program`.
 //
 // Usage:
 //
 //	racecheck -list
 //	racecheck -workload stringrace -config original
-//	racecheck -workload counter -detector djit
+//	racecheck -workload counter -tools djit
 //	racecheck -workload threadpool -config hwlc+dr -edges full
-//	racecheck -workload counter -tools lockset,djit,deadlock,memcheck -parallel 4
+//	racecheck -workload birthday -tools lockset,highlevel
+//	racecheck -workload counter -tools all -parallel 4
+//
+// -tools names the tools that run together over one pass of the execution
+// (default lockset,deadlock,memcheck; "all" for every tool). -config and
+// -edges configure the lock-set detector among them.
 package main
 
 import (
@@ -17,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/cppmodel"
@@ -138,7 +144,7 @@ var workloads = map[string]struct {
 		},
 	},
 	"birthday": {
-		desc: "§2.1: date-of-birth/age updated in separate critical sections (needs -highlevel)",
+		desc: "§2.1: date-of-birth/age updated in separate critical sections (needs -tools highlevel)",
 		body: func(rt *cppmodel.Runtime) func(*vm.Thread) {
 			return func(main *vm.Thread) {
 				v := main.VM()
@@ -168,7 +174,7 @@ var workloads = map[string]struct {
 		},
 	},
 	"deadlock": {
-		desc: "ABBA lock inversion (reported by -deadlocks even when it does not strike)",
+		desc: "ABBA lock inversion (reported by the deadlock tool even when it does not strike)",
 		body: func(rt *cppmodel.Runtime) func(*vm.Thread) {
 			return func(main *vm.Thread) {
 				v := main.VM()
@@ -197,17 +203,13 @@ var workloads = map[string]struct {
 
 func main() {
 	var (
-		workload  = flag.String("workload", "counter", "workload to run (see -list)")
-		list      = flag.Bool("list", false, "list workloads")
-		config    = flag.String("config", "hwlc+dr", "lockset configuration: original | hwlc | hwlc+dr")
-		detector  = flag.String("detector", "lockset", "detector: lockset | djit | hybrid | none")
-		edges     = flag.String("edges", "helgrind", "segment edges: helgrind | full")
-		seed      = flag.Int64("seed", 1, "scheduler seed")
-		deadlocks = flag.Bool("deadlocks", true, "attach the lock-order deadlock tool")
-		memchk    = flag.Bool("memcheck", true, "attach the memcheck tool")
-		highlevel = flag.Bool("highlevel", false, "attach the view-consistency (high-level race) checker")
-		tools     = flag.String("tools", "", "run this comma-separated tool set concurrently in one pass (e.g. lockset,djit,deadlock; 'all' for every tool); overrides -detector and the attach flags")
-		parallel  = flag.Int("parallel", 1, "shard the registered tools across N engine workers (>1 enables the parallel analysis engine)")
+		workload = flag.String("workload", "counter", "workload to run (see -list)")
+		list     = flag.Bool("list", false, "list workloads")
+		config   = flag.String("config", "hwlc+dr", "lockset configuration: original | hwlc | hwlc+dr")
+		edges    = flag.String("edges", "helgrind", "segment edges: helgrind | full")
+		seed     = flag.Int64("seed", 1, "scheduler seed")
+		tools    = flag.String("tools", "lockset,deadlock,memcheck", "comma-separated tools to run concurrently in one pass: "+strings.Join(core.ToolNames, ", ")+"; 'all' for every tool")
+		parallel = flag.Int("parallel", 1, "shard the registered tools across N engine workers (>1 enables the parallel analysis engine)")
 	)
 	flag.Parse()
 
@@ -228,20 +230,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opt := core.Options{Seed: *seed, Deadlocks: *deadlocks, Memcheck: *memchk, HighLevel: *highlevel, Parallel: *parallel}
-	switch *detector {
-	case "lockset":
-		opt.Detector = core.DetectorLockset
-	case "djit":
-		opt.Detector = core.DetectorDJIT
-	case "hybrid":
-		opt.Detector = core.DetectorHybrid
-	case "none":
-		opt.Detector = core.DetectorNone
-	default:
-		fmt.Fprintf(os.Stderr, "racecheck: unknown detector %q\n", *detector)
-		os.Exit(2)
-	}
+	opt := core.Options{Seed: *seed, Parallel: *parallel}
 	annotate := false
 	switch *config {
 	case "original":
@@ -258,18 +247,15 @@ func main() {
 	if *edges == "full" {
 		opt.Lockset.Mask = trace.MaskFull
 	}
-	label := fmt.Sprintf("%s/%s", *detector, *config)
-	if *tools != "" {
-		// The registry path: every named tool runs concurrently over one
-		// pass of the stream, using the configs assembled above.
-		specs, err := opt.ParseTools(*tools)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "racecheck:", err)
-			os.Exit(2)
-		}
-		opt.Tools = specs
-		label = fmt.Sprintf("tools=%s (%s)", *tools, *config)
+	// Every named tool runs concurrently over one pass of the stream, using
+	// the lock-set configuration assembled above.
+	specs, err := opt.ParseTools(*tools)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "racecheck:", err)
+		os.Exit(2)
 	}
+	opt.Tools = specs
+	label := fmt.Sprintf("tools=%s (%s)", *tools, *config)
 
 	rt := cppmodel.NewRuntime(cppmodel.Options{AnnotateDeletes: annotate, ForceNew: true})
 	res, err := core.Run(opt, wl.body(rt))

@@ -55,7 +55,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -436,24 +435,19 @@ func streamFlood(target, name string, tr traceEntry, chunk, retries int, gov *in
 // offs[0] is 0 and offs[i] is the end of event i-1, so events [a,b) occupy
 // log[offs[a]:offs[b]].
 func eventOffsets(log []byte) ([]int64, error) {
-	dec := tracelog.NewDecoder(bytes.NewReader(log))
 	var cw countWriter
 	rec := tracelog.NewRecorder(&cw)
 	offs := []int64{0}
-	var ev tracelog.Event
-	for {
-		err := dec.Next(&ev)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
+	_, err := tracelog.Each(bytes.NewReader(log), func(ev *tracelog.Event) {
 		ev.Deliver(rec)
-		if err := rec.Flush(); err != nil {
-			return nil, err
-		}
+		rec.Flush() // sticky: a failed write surfaces through rec.Err below
 		offs = append(offs, cw.n)
+	})
+	if err == nil {
+		err = rec.Err()
+	}
+	if err != nil {
+		return nil, err
 	}
 	if cw.n != int64(len(log)) {
 		return nil, fmt.Errorf("re-encoded stream is %d bytes, trace is %d — encoding drifted", cw.n, len(log))

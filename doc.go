@@ -12,7 +12,8 @@
 //   - online: the tool pipeline attached to the VM observes events as the
 //     guest executes (internal/core, the paper's on-the-fly mode);
 //   - offline: a recorded binary trace (internal/tracelog) is replayed into
-//     the same pipeline post-mortem (§2.2);
+//     the same pipeline post-mortem (§2.2). Every consumer of a recorded
+//     stream decodes it through one loop, tracelog.Each;
 //   - parallel: internal/engine shards the stream — recorded or live —
 //     across N worker cores.
 //
@@ -26,7 +27,8 @@
 // detector, memcheck and the view-consistency checker. Each detector
 // package exports a Spec constructor declaring its name and routing class;
 // core.Options.Tools (or the -tools flag of racecheck, tracereplay and
-// perfbench) selects the registry for a run.
+// perfbench) is the one way to select the registry for a run; left empty,
+// it runs the lock-set detector alone, configured by core.Options.Lockset.
 //
 // Every tool instance sits behind its own panic-isolating trace.SafeSink
 // and writes to its own report.Collector, whose sites are stamped with the

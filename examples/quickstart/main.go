@@ -18,7 +18,13 @@ import (
 )
 
 func main() {
-	res, err := core.Run(core.Options{Seed: 42, Deadlocks: true}, program)
+	opt := core.Options{Seed: 42}
+	tools, err := opt.ParseTools("lockset,deadlock")
+	if err != nil {
+		panic(err)
+	}
+	opt.Tools = tools
+	res, err := core.Run(opt, program)
 	if err != nil {
 		panic(err)
 	}

@@ -17,9 +17,12 @@
 // hybrid) and the auxiliary checkers (lock-order deadlock detection,
 // memcheck, view-consistency) all run concurrently over a single pass of the
 // event stream, sequentially by default or sharded across Options.Parallel
-// engine workers — with byte-identical reports either way. The paper's three
-// evaluation configurations are available as OptionsOriginal, OptionsHWLC
-// and OptionsHWLCDR.
+// engine workers — with byte-identical reports either way. Options.Tools is
+// the one tool selector: build it from the detector packages' Spec
+// constructors, or from a name list with ParseTools (ToolFactory for one
+// registry per session). Left empty, it runs the lock-set detector alone,
+// configured by Options.Lockset; the paper's three evaluation configurations
+// are available that way as OptionsOriginal, OptionsHWLC and OptionsHWLCDR.
 package core
 
 import (
@@ -39,66 +42,22 @@ import (
 	"repro/internal/vm"
 )
 
-// DetectorKind selects the race-detection algorithm for the deprecated
-// single-detector Options fields; prefer Options.Tools.
-type DetectorKind uint8
-
-// Available detectors.
-const (
-	// DetectorLockset is the Eraser/Helgrind lock-set algorithm with the
-	// paper's improvements — the primary contribution.
-	DetectorLockset DetectorKind = iota
-	// DetectorDJIT is the pure happens-before baseline [6].
-	DetectorDJIT
-	// DetectorHybrid is the lock-set + happens-before hybrid [12].
-	DetectorHybrid
-	// DetectorNone runs without a race detector (for overhead baselines).
-	DetectorNone
-)
-
-func (k DetectorKind) String() string {
-	switch k {
-	case DetectorLockset:
-		return "lockset"
-	case DetectorDJIT:
-		return "djit"
-	case DetectorHybrid:
-		return "hybrid"
-	default:
-		return "none"
-	}
-}
-
 // Options configures a checking run.
 type Options struct {
 	// Tools is the full tool registry for the run: every listed tool runs
 	// concurrently over one pass of the event stream (see trace.ToolSpec and
-	// the Spec constructors in the detector packages). When Tools is empty,
-	// the deprecated selector fields below are converted into the
-	// equivalent registry — one race detector plus the requested auxiliary
-	// tools.
+	// the Spec constructors in the detector packages; ParseTools builds it
+	// from a name list). When Tools is empty the registry is the lock-set
+	// detector alone, configured by Lockset.
 	Tools []trace.ToolSpec
-	// Detector selects the algorithm (default DetectorLockset).
-	// Deprecated: list the detector in Tools instead.
-	Detector DetectorKind
 	// Lockset configures the lock-set detector. The zero value (and only
 	// the zero value — see lockset.Config.IsZero) defaults to the paper's
 	// strongest configuration, HWLC+DR.
 	Lockset lockset.Config
-	// DJIT configures the happens-before detector when selected.
+	// DJIT configures the happens-before detector when ParseTools selects it.
 	DJIT vectorclock.Config
-	// Hybrid configures the hybrid detector when selected.
+	// Hybrid configures the hybrid detector when ParseTools selects it.
 	Hybrid hybrid.Config
-	// Deadlocks attaches the lock-order-graph deadlock tool.
-	// Deprecated: list deadlock.Spec in Tools instead.
-	Deadlocks bool
-	// Memcheck attaches the use-after-free tool.
-	// Deprecated: list memcheck.Spec in Tools instead.
-	Memcheck bool
-	// HighLevel attaches the view-consistency checker for high-level data
-	// races ([1], discussed in the paper's §2.1).
-	// Deprecated: list highlevel.Spec in Tools instead.
-	HighLevel bool
 	// Suppressions holds suppression rules in the Valgrind-like format
 	// accepted by internal/suppress.
 	Suppressions string
@@ -145,37 +104,6 @@ func (opt Options) djitSpec() trace.ToolSpec {
 		cfg = vectorclock.DefaultConfig()
 	}
 	return vectorclock.Spec(cfg)
-}
-
-// toolSpecs resolves Options into the effective registry: Tools verbatim
-// when set, otherwise the deprecated selector fields adapted.
-func (opt Options) toolSpecs() ([]trace.ToolSpec, error) {
-	if len(opt.Tools) > 0 {
-		return opt.Tools, nil
-	}
-	var specs []trace.ToolSpec
-	switch opt.Detector {
-	case DetectorLockset:
-		specs = append(specs, opt.locksetSpec())
-	case DetectorDJIT:
-		specs = append(specs, opt.djitSpec())
-	case DetectorHybrid:
-		specs = append(specs, hybrid.Spec(opt.Hybrid))
-	case DetectorNone:
-		// No race detector.
-	default:
-		return nil, fmt.Errorf("core: unknown detector %d", opt.Detector)
-	}
-	if opt.Deadlocks {
-		specs = append(specs, deadlock.Spec(deadlock.Config{}))
-	}
-	if opt.Memcheck {
-		specs = append(specs, memcheck.Spec(memcheck.Config{}))
-	}
-	if opt.HighLevel {
-		specs = append(specs, highlevel.Spec(highlevel.Config{}))
-	}
-	return specs, nil
 }
 
 // ToolNames lists the names accepted by ParseTools.
@@ -274,19 +202,14 @@ func (r *Result) Locations() int { return r.Collector.Locations() }
 // Report renders the warnings in Helgrind-like format.
 func (r *Result) Report() string { return r.Collector.Format() }
 
-// pipeline is engine.Pipeline: the shared surface of engine.Engine and
-// engine.Sequential. Both consume the live stream as a trace.Sink and finish
-// the same way.
-type pipeline = engine.Pipeline
-
 // Run executes the guest program under the configured tools. The returned
 // error covers configuration problems only; guest failures (panic, deadlock,
 // step limit) are reported in Result.Err so that warnings collected up to
 // that point remain accessible.
 func Run(opt Options, body func(*vm.Thread)) (*Result, error) {
-	specs, err := opt.toolSpecs()
-	if err != nil {
-		return nil, err
+	specs := opt.Tools
+	if len(specs) == 0 {
+		specs = []trace.ToolSpec{opt.locksetSpec()}
 	}
 	machine := vm.New(vm.Options{Seed: opt.Seed, Quantum: opt.Quantum, MaxSteps: opt.MaxSteps})
 
@@ -303,25 +226,18 @@ func Run(opt Options, body func(*vm.Thread)) (*Result, error) {
 	// Both paths run the same registry over one pass of the stream; the only
 	// difference is whether events fan out to shard workers or are delivered
 	// inline. Reports are byte-identical between the two.
-	var pipe pipeline
-	if len(specs) > 0 {
-		eopt := engine.Options{Tools: specs, Resolver: machine, Suppressor: sup}
-		if opt.Parallel > 1 {
-			eopt.Shards = opt.Parallel
-		}
-		pipe, err = engine.NewPipeline(eopt)
-		if err != nil {
-			return nil, fmt.Errorf("core: engine: %w", err)
-		}
-		machine.AddTool(pipe)
+	eopt := engine.Options{Tools: specs, Resolver: machine, Suppressor: sup}
+	if opt.Parallel > 1 {
+		eopt.Shards = opt.Parallel
 	}
+	pipe, err := engine.NewPipeline(eopt)
+	if err != nil {
+		return nil, fmt.Errorf("core: engine: %w", err)
+	}
+	machine.AddTool(pipe)
 
 	res.Err = machine.Run(body)
 	res.Steps = machine.Steps()
-	if pipe == nil {
-		res.Collector = report.NewCollector(machine, sup)
-		return res, nil
-	}
 	merged, cerr := pipe.Close()
 	if cerr != nil && res.Err == nil {
 		res.Err = cerr

@@ -9,6 +9,17 @@ import (
 	"repro/internal/vm"
 )
 
+// withTools returns opt with its registry parsed from a -tools style list.
+func withTools(t testing.TB, opt Options, list string) Options {
+	t.Helper()
+	specs, err := opt.ParseTools(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Tools = specs
+	return opt
+}
+
 func racyProgram(main *vm.Thread) {
 	b := main.Alloc(4, "counter")
 	w := func(t *vm.Thread) {
@@ -42,24 +53,26 @@ func TestRunDefaultLockset(t *testing.T) {
 }
 
 func TestRunDJITAndHybrid(t *testing.T) {
-	for _, kind := range []DetectorKind{DetectorDJIT, DetectorHybrid} {
-		res, err := Run(Options{Detector: kind, Seed: 1}, racyProgram)
+	for _, tool := range []string{"djit", "hybrid"} {
+		res, err := Run(withTools(t, Options{Seed: 1}, tool), racyProgram)
 		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
+			t.Fatalf("%s: %v", tool, err)
 		}
 		if res.Locations() == 0 {
-			t.Errorf("%v reported no locations for a racy program", kind)
+			t.Errorf("%s reported no locations for a racy program", tool)
 		}
 	}
 }
 
-func TestRunDetectorNone(t *testing.T) {
-	res, err := Run(Options{Detector: DetectorNone, Seed: 1}, racyProgram)
+// TestRunWithoutRaceDetector: a registry without a race detector runs the
+// program to completion and reports no race.
+func TestRunWithoutRaceDetector(t *testing.T) {
+	res, err := Run(withTools(t, Options{Seed: 1}, "memcheck"), racyProgram)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if res.Locations() != 0 {
-		t.Error("DetectorNone must not report")
+		t.Errorf("registry without a race detector reported:\n%s", res.Report())
 	}
 	if res.Steps == 0 {
 		t.Error("program did not execute")
@@ -93,7 +106,7 @@ func TestRunBadSuppressions(t *testing.T) {
 }
 
 func TestRunGuestDeadlockSurfaced(t *testing.T) {
-	res, err := Run(Options{Seed: 1, Deadlocks: true}, func(main *vm.Thread) {
+	res, err := Run(withTools(t, Options{Seed: 1}, "lockset,deadlock"), func(main *vm.Thread) {
 		v := main.VM()
 		m1, m2 := v.NewMutex("A"), v.NewMutex("B")
 		a := main.Go("a", func(t *vm.Thread) {
@@ -123,7 +136,7 @@ func TestRunGuestDeadlockSurfaced(t *testing.T) {
 }
 
 func TestRunMemcheck(t *testing.T) {
-	res, err := Run(Options{Seed: 1, Memcheck: true}, func(main *vm.Thread) {
+	res, err := Run(withTools(t, Options{Seed: 1}, "lockset,memcheck"), func(main *vm.Thread) {
 		b := main.Alloc(8, "x")
 		b.Free(main)
 		b.Load32(main, 0)
@@ -145,6 +158,34 @@ func TestPaperConfigConstructors(t *testing.T) {
 	}
 	if !OptionsHWLCDR().Lockset.Destruct {
 		t.Error("OptionsHWLCDR must honour destructor annotations")
+	}
+	// An empty Tools is the lock-set detector alone, configured by Lockset:
+	// byte-identical to listing it explicitly, for the default options and
+	// each paper configuration.
+	for name, opt := range map[string]Options{
+		"default":  {},
+		"Original": OptionsOriginal(),
+		"HWLC":     OptionsHWLC(),
+		"HWLC+DR":  OptionsHWLCDR(),
+	} {
+		opt.Seed = 1
+		implicit, err := Run(opt, abbaProgram)
+		if err != nil || implicit.Err != nil {
+			t.Fatalf("%s: %v / %v", name, err, implicit.Err)
+		}
+		explicit, err := Run(withTools(t, opt, "lockset"), abbaProgram)
+		if err != nil || explicit.Err != nil {
+			t.Fatalf("%s with Tools: %v / %v", name, err, explicit.Err)
+		}
+		if implicit.Locations() == 0 {
+			t.Fatalf("%s: no warnings; the comparison is vacuous", name)
+		}
+		if got, want := implicit.Report(), explicit.Report(); got != want {
+			t.Errorf("%s: empty Tools report differs from Tools=lockset\n--- Tools=lockset ---\n%s\n--- empty Tools ---\n%s", name, want, got)
+		}
+		if implicit.LocksetDetector == nil {
+			t.Errorf("%s: lock-set detector not surfaced", name)
+		}
 	}
 }
 
@@ -179,7 +220,7 @@ func TestDetectorComparisonE12(t *testing.T) {
 	// unlocked write lands second... here it lands first, so Eraser's
 	// delayed lock-set initialisation ALSO misses it — the §4.3 false
 	// negative — while the unordered variant is caught by both.
-	djit, err := Run(Options{Detector: DetectorDJIT, Seed: 1}, prog(true))
+	djit, err := Run(withTools(t, Options{Seed: 1}, "djit"), prog(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +231,7 @@ func TestDetectorComparisonE12(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, err := Run(Options{Detector: DetectorDJIT, Seed: 2}, prog(false))
+	hb, err := Run(withTools(t, Options{Seed: 2}, "djit"), prog(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +241,7 @@ func TestDetectorComparisonE12(t *testing.T) {
 }
 
 func TestRunHighLevelDetector(t *testing.T) {
-	res, err := Run(Options{Seed: 1, HighLevel: true, Detector: DetectorNone}, func(main *vm.Thread) {
+	res, err := Run(withTools(t, Options{Seed: 1}, "highlevel"), func(main *vm.Thread) {
 		v := main.VM()
 		mu := v.NewMutex("mu")
 		pair := main.Alloc(8, "pair")
@@ -263,12 +304,14 @@ func abbaProgram(main *vm.Thread) {
 }
 
 func TestRunParallelMatchesSequential(t *testing.T) {
-	for _, detector := range []DetectorKind{DetectorLockset, DetectorDJIT, DetectorHybrid} {
-		seq, err := Run(Options{Seed: 5, Detector: detector, Deadlocks: true, Memcheck: true}, abbaProgram)
+	for _, detector := range []string{"lockset", "djit", "hybrid"} {
+		opt := withTools(t, Options{Seed: 5}, detector+",deadlock,memcheck")
+		seq, err := Run(opt, abbaProgram)
 		if err != nil || seq.Err != nil {
 			t.Fatalf("%s sequential: %v / %v", detector, err, seq.Err)
 		}
-		par, err := Run(Options{Seed: 5, Detector: detector, Deadlocks: true, Memcheck: true, Parallel: 4}, abbaProgram)
+		opt.Parallel = 4
+		par, err := Run(opt, abbaProgram)
 		if err != nil || par.Err != nil {
 			t.Fatalf("%s parallel: %v / %v", detector, err, par.Err)
 		}

@@ -232,24 +232,27 @@ func TestParseTools(t *testing.T) {
 	}
 }
 
-// TestRunToolsOverridesDeprecatedFields: a non-empty Tools registry wins over
-// the legacy selector fields.
-func TestRunToolsOverridesDeprecatedFields(t *testing.T) {
+// TestRunToolsDefineRegistry: a non-empty Tools registry is the whole
+// registry — the default lock-set detector is not added next to it, even
+// when Lockset is configured.
+func TestRunToolsDefineRegistry(t *testing.T) {
 	res, err := Run(Options{
-		Seed:     1,
-		Detector: DetectorDJIT, // ignored
-		Memcheck: true,         // ignored
-		Tools:    []trace.ToolSpec{lockset.Spec(lockset.ConfigHWLCDR())},
+		Seed:    1,
+		Lockset: lockset.ConfigOriginal(),
+		Tools:   []trace.ToolSpec{vectorclock.Spec(vectorclock.DefaultConfig())},
 	}, racyProgram)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	if res.Locations() == 0 {
+		t.Fatal("djit reported nothing; the check is vacuous")
+	}
 	for _, w := range res.Collector.Sites() {
-		if w.Tool != "helgrind" {
+		if w.Tool != "djit" {
 			t.Errorf("unexpected tool %q in report; Tools should fully define the registry", w.Tool)
 		}
 	}
-	if res.LocksetDetector == nil {
-		t.Error("lockset instance not surfaced")
+	if res.LocksetDetector != nil {
+		t.Error("lock-set detector ran although Tools did not list it")
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/hybrid"
 	"repro/internal/lockset"
-	"repro/internal/trace"
 	"repro/internal/vectorclock"
 	"repro/internal/vm"
 )
@@ -73,82 +71,6 @@ func TestParseToolsDuplicate(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "duplicate tool name") {
 			t.Errorf("Run(parallel=%d) with duplicate tools: err = %v, want duplicate-name error", parallel, err)
 		}
-	}
-}
-
-// ---- deprecated-field adapters (Options.Detector / Deadlocks / ...) ----
-
-func TestToolSpecsAdaptersDetectorKinds(t *testing.T) {
-	cases := []struct {
-		kind    DetectorKind
-		name    string
-		routing trace.Routing
-	}{
-		{DetectorLockset, "helgrind", trace.RouteBlock},
-		{DetectorDJIT, "djit", trace.RouteBlock},
-		{DetectorHybrid, "hybrid", trace.RouteBlock},
-	}
-	for _, c := range cases {
-		specs, err := Options{Detector: c.kind}.toolSpecs()
-		if err != nil {
-			t.Fatalf("%v: %v", c.kind, err)
-		}
-		if len(specs) != 1 || specs[0].Name != c.name || specs[0].Routing != c.routing {
-			t.Errorf("%v: got %d specs, first %q/%v; want 1 spec %q/%v",
-				c.kind, len(specs), specs[0].Name, specs[0].Routing, c.name, c.routing)
-		}
-	}
-
-	specs, err := Options{Detector: DetectorNone}.toolSpecs()
-	if err != nil || len(specs) != 0 {
-		t.Errorf("DetectorNone: specs %d err %v, want 0 specs, nil", len(specs), err)
-	}
-
-	if _, err := (Options{Detector: DetectorKind(99)}).toolSpecs(); err == nil {
-		t.Error("unknown DetectorKind accepted")
-	}
-}
-
-func TestToolSpecsAdaptersAuxFlags(t *testing.T) {
-	specs, err := Options{Detector: DetectorNone, Deadlocks: true, Memcheck: true, HighLevel: true}.toolSpecs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]trace.Routing{
-		"helgrind-deadlock": trace.RouteBroadcast,
-		"memcheck":          trace.RouteBlock,
-		"highlevel":         trace.RouteSingle,
-	}
-	if len(specs) != len(want) {
-		t.Fatalf("got %d specs, want %d", len(specs), len(want))
-	}
-	for _, sp := range specs {
-		r, ok := want[sp.Name]
-		if !ok {
-			t.Errorf("unexpected spec %q", sp.Name)
-			continue
-		}
-		if sp.Routing != r {
-			t.Errorf("%q routing = %v, want %v", sp.Name, sp.Routing, r)
-		}
-	}
-}
-
-// TestToolSpecsToolsOverridesDeprecated: a non-empty Tools registry wins
-// over every deprecated selector field.
-func TestToolSpecsToolsOverridesDeprecated(t *testing.T) {
-	opt := Options{
-		Tools:     []trace.ToolSpec{hybrid.Spec(hybrid.Config{Tool: "only-me"})},
-		Detector:  DetectorDJIT,
-		Deadlocks: true,
-		Memcheck:  true,
-	}
-	specs, err := opt.toolSpecs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 1 || specs[0].Name != "only-me" {
-		t.Fatalf("Tools not taken verbatim: %d specs, first %q", len(specs), specs[0].Name)
 	}
 }
 

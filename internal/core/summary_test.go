@@ -50,7 +50,7 @@ var wantMemcheckSummary = trace.ToolSummary{
 // identical for every shard count.
 func TestMemcheckSummaryParallel(t *testing.T) {
 	for _, parallel := range []int{0, 1, 2, 4, 8} {
-		res, err := Run(Options{Memcheck: true, Parallel: parallel, Seed: 1}, summaryGuest)
+		res, err := Run(withTools(t, Options{Parallel: parallel, Seed: 1}, "lockset,memcheck"), summaryGuest)
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}

@@ -91,7 +91,7 @@ func BenchmarkParallelReplay(b *testing.B) {
 	for _, shards := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel-%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng, err := engine.New(engine.Options{Shards: shards, Factory: lockset.Factory(cfg)})
+				eng, err := engine.New(engine.Options{Shards: shards, Tools: []trace.ToolSpec{lockset.Spec(cfg)}})
 				if err != nil {
 					b.Fatal(err)
 				}

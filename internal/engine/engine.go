@@ -47,14 +47,6 @@ import (
 	"repro/internal/tracelog"
 )
 
-// Factory builds one detector instance for one shard, writing warnings to
-// the shard's private collector.
-//
-// Deprecated: configure the engine with Options.Tools instead. Factory
-// remains as the single-tool shorthand: a non-nil Factory with empty Tools
-// is adapted into one block-routed ToolSpec.
-type Factory func(col *report.Collector) trace.Sink
-
 // Options configures an Engine (or a Sequential).
 type Options struct {
 	// Shards is the number of parallel workers (default: GOMAXPROCS).
@@ -68,10 +60,8 @@ type Options struct {
 	QueueDepth int
 	// Tools is the registry: every listed tool runs concurrently over the
 	// single decode of the stream, routed per its spec. Names must be
-	// unique. Required unless Factory is set.
+	// unique. Required.
 	Tools []trace.ToolSpec
-	// Factory is the deprecated single-tool constructor; see Factory's doc.
-	Factory Factory
 	// Resolver resolves stacks and blocks at reporting time; it is handed to
 	// every instance collector and to the merged result.
 	Resolver trace.Resolver
@@ -83,13 +73,6 @@ type Options struct {
 	// Metrics. Instrumentation never influences analysis: reports are
 	// byte-identical with or without it.
 	Metrics *Metrics
-	// ToolTime, when true, measures the wall time spent inside each tool
-	// instance's event handlers; ToolTimes returns the totals after Close.
-	// The measurement brackets every delivery with two clock reads, so it is
-	// off by default and meant for attribution runs (perfbench -tooltime),
-	// not steady-state production pipelines. Like Metrics, it never changes
-	// analysis output.
-	ToolTime bool
 }
 
 func (o Options) withDefaults() Options {
@@ -101,14 +84,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 8
-	}
-	if len(o.Tools) == 0 && o.Factory != nil {
-		f := o.Factory
-		o.Tools = []trace.ToolSpec{{
-			Name:    "detector",
-			Routing: trace.RouteBlock,
-			Factory: func(col trace.Reporter) trace.Sink { return f(col.(*report.Collector)) },
-		}}
 	}
 	return o
 }
@@ -215,9 +190,9 @@ type Engine struct {
 
 	// Snapshot quiesce machinery (see Snapshot): a nil batch sent down a
 	// shard channel is the barrier marker; the worker checks in on snapWG and
-	// parks on snapGate until the dispatcher has cloned every collector.
-	snapWG   sync.WaitGroup
-	snapGate chan struct{}
+	// parks on its own shard.snapGate until the dispatcher has cloned every
+	// collector.
+	snapWG sync.WaitGroup
 }
 
 // New creates an engine and starts its shard workers.
@@ -226,7 +201,7 @@ func New(opt Options) (*Engine, error) {
 	if err := validateTools(opt.Tools); err != nil {
 		return nil, err
 	}
-	e := &Engine{opt: opt, snapGate: make(chan struct{}, opt.Shards)}
+	e := &Engine{opt: opt}
 	e.met = opt.Metrics
 	e.hwm = shardQueueGauges(opt.Metrics, opt.Shards)
 	e.pool.New = func() any { return &batch{ev: make([]event, 0, opt.BatchSize)} }
@@ -234,7 +209,6 @@ func New(opt Options) (*Engine, error) {
 	for i := range e.shards {
 		e.shards[i] = newShard(i, opt, e.newBatch())
 		e.shards[i].snapWG = &e.snapWG
-		e.shards[i].snapGate = e.snapGate
 	}
 	// Instantiate the registry: block-routed tools once per shard, pinned
 	// tools once each, spread round-robin across shards so several pinned
@@ -401,19 +375,9 @@ func (e *Engine) flushMetrics() {
 // events dispatched so far analysed only a prefix of the stream, so Close
 // will return the error instead of a partial merged report.
 func (e *Engine) ReplayLog(r io.Reader) (int64, error) {
-	dec := tracelog.NewDecoder(r)
-	var ev tracelog.Event
-	for {
-		err := dec.Next(&ev)
-		if err == io.EOF {
-			return dec.Events(), nil
-		}
-		if err != nil {
-			e.fail(err)
-			return dec.Events(), err
-		}
-		e.dispatch(&ev)
-	}
+	n, err := tracelog.Each(r, e.dispatch)
+	e.fail(err)
+	return n, err
 }
 
 // fail records a mid-stream failure: the analysed events are only a prefix of

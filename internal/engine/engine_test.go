@@ -79,7 +79,7 @@ func TestEngineMatchesSequentialReplay(t *testing.T) {
 		for _, shards := range []int{1, 4, 8} {
 			eng, err := engine.New(engine.Options{
 				Shards:   shards,
-				Factory:  lockset.Factory(cfg),
+				Tools:    []trace.ToolSpec{lockset.Spec(cfg)},
 				Resolver: v,
 			})
 			if err != nil {
@@ -120,7 +120,7 @@ func TestEngineMatchesSequentialDJIT(t *testing.T) {
 	}
 	want := seqCol.Format()
 	for _, shards := range []int{1, 4, 8} {
-		eng, err := engine.New(engine.Options{Shards: shards, Factory: vectorclock.Factory(cfg), Resolver: v})
+		eng, err := engine.New(engine.Options{Shards: shards, Tools: []trace.ToolSpec{vectorclock.Spec(cfg)}, Resolver: v})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -159,7 +159,7 @@ func TestEngineSuppressions(t *testing.T) {
 	if _, err := tracelog.Replay(bytes.NewReader(log), lockset.New(cfg, seqCol)); err != nil {
 		t.Fatalf("sequential replay: %v", err)
 	}
-	eng, err := engine.New(engine.Options{Shards: 4, Factory: lockset.Factory(cfg), Resolver: v, Suppressor: sup})
+	eng, err := engine.New(engine.Options{Shards: 4, Tools: []trace.ToolSpec{lockset.Spec(cfg)}, Resolver: v, Suppressor: sup})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -215,7 +215,7 @@ func TestEngineLiveStream(t *testing.T) {
 	}
 
 	vLive := vm.New(vm.Options{Seed: 7})
-	eng, err := engine.New(engine.Options{Shards: 4, Factory: lockset.Factory(cfg), Resolver: vLive})
+	eng, err := engine.New(engine.Options{Shards: 4, Tools: []trace.ToolSpec{lockset.Spec(cfg)}, Resolver: vLive})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -268,8 +268,10 @@ func TestEnginePanicIsolation(t *testing.T) {
 
 	const poison = trace.BlockID(3)
 	eng, err := engine.New(engine.Options{
-		Shards:  4,
-		Factory: func(col *report.Collector) trace.Sink { return &panicSink{col: col, poison: poison} },
+		Shards: 4,
+		Tools: []trace.ToolSpec{{Name: "panicky", Routing: trace.RouteBlock, Factory: func(col trace.Reporter) trace.Sink {
+			return &panicSink{col: col, poison: poison}
+		}}},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -296,7 +298,7 @@ func TestEnginePanicIsolation(t *testing.T) {
 
 // TestEngineCloseIdempotent: double Close and post-Close dispatch are safe.
 func TestEngineCloseIdempotent(t *testing.T) {
-	eng, err := engine.New(engine.Options{Shards: 2, Factory: lockset.Factory(lockset.ConfigHWLC())})
+	eng, err := engine.New(engine.Options{Shards: 2, Tools: []trace.ToolSpec{lockset.Spec(lockset.ConfigHWLC())}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

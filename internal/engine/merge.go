@@ -119,27 +119,6 @@ func summarize(insts []*toolInst) map[string]trace.ToolSummary {
 	return out
 }
 
-// ToolTimes returns the cumulative wall time spent inside each tool's event
-// handlers, keyed by tool name and summed across shard instances. Nil unless
-// Options.ToolTime was set; only valid after Close — instance counters are
-// owned by the shard goroutines until the workers have joined.
-func (e *Engine) ToolTimes() map[string]int64 {
-	if !e.opt.ToolTime || !e.closed {
-		return nil
-	}
-	return toolTimes(e.insts)
-}
-
-// toolTimes sums handler nanoseconds per tool name across instances. Shared
-// by Engine and Sequential, like summarize.
-func toolTimes(insts []*toolInst) map[string]int64 {
-	out := make(map[string]int64, len(insts))
-	for _, ti := range insts {
-		out[ti.name] += ti.ns
-	}
-	return out
-}
-
 // Stats returns per-shard event counts. Valid after Close.
 func (e *Engine) Stats() []ShardStat {
 	out := make([]ShardStat, len(e.shards))

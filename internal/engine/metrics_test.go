@@ -91,7 +91,7 @@ func TestEngineMetricsSharedAcrossPipelines(t *testing.T) {
 	var total int64
 	for i := 0; i < 3; i++ {
 		pipe, err := engine.NewPipeline(engine.Options{
-			Factory: lockset.Factory(lockset.ConfigHWLC()),
+			Tools:   []trace.ToolSpec{lockset.Spec(lockset.ConfigHWLC())},
 			Metrics: met,
 		})
 		if err != nil {

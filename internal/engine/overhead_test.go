@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/tracelog"
 )
@@ -26,7 +25,7 @@ func BenchmarkPipelineOverhead(b *testing.B) {
 	})
 	b.Run("dispatch-4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			eng, err := engine.New(engine.Options{Shards: 4, Factory: func(*report.Collector) trace.Sink { return trace.BaseSink{} }})
+			eng, err := engine.New(engine.Options{Shards: 4, Tools: []trace.ToolSpec{{Name: "nop", Routing: trace.RouteBlock, Factory: func(trace.Reporter) trace.Sink { return trace.BaseSink{} }}}})
 			if err != nil {
 				b.Fatal(err)
 			}

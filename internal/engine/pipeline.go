@@ -45,10 +45,6 @@ type Pipeline interface {
 	// Summaries returns the per-tool counter rollups, summed across shard
 	// instances. Only valid after Close.
 	Summaries() map[string]trace.ToolSummary
-	// ToolTimes returns the wall time spent inside each tool's handlers,
-	// keyed by tool name and summed across shard instances. Nil unless
-	// Options.ToolTime was set. Only valid after Close.
-	ToolTimes() map[string]int64
 }
 
 var (

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/report"
 	"repro/internal/trace"
@@ -64,21 +63,11 @@ func (s *Sequential) QueueLoad() float64 { return 0 }
 // the same contract as Engine.ReplayLog: Close will return the error instead
 // of a partial merged report.
 func (s *Sequential) ReplayLog(r io.Reader) (int64, error) {
-	dec := tracelog.NewDecoder(r)
-	var ev tracelog.Event
-	for {
-		err := dec.Next(&ev)
-		if err == io.EOF {
-			return dec.Events(), nil
-		}
-		if err != nil {
-			if s.streamErr == nil {
-				s.streamErr = err
-			}
-			return dec.Events(), err
-		}
-		ev.Deliver(s)
+	n, err := tracelog.Each(r, func(ev *tracelog.Event) { ev.Deliver(s) })
+	if s.streamErr == nil {
+		s.streamErr = err
 	}
+	return n, err
 }
 
 // Close runs the end-of-stream passes of tools implementing trace.Finisher
@@ -149,27 +138,9 @@ func (s *Sequential) deliver(fn func(trace.Sink)) {
 		}
 	}
 	s.cur = s.seq
-	if s.opt.ToolTime {
-		for _, ti := range s.insts {
-			t0 := time.Now()
-			fn(ti.sink)
-			ti.ns += time.Since(t0).Nanoseconds()
-		}
-		return
-	}
 	for _, ti := range s.insts {
 		fn(ti.sink)
 	}
-}
-
-// ToolTimes returns the cumulative wall time spent inside each tool's event
-// handlers, keyed by tool name. Nil unless Options.ToolTime was set; only
-// valid after Close.
-func (s *Sequential) ToolTimes() map[string]int64 {
-	if !s.opt.ToolTime || !s.closed {
-		return nil
-	}
-	return toolTimes(s.insts)
 }
 
 // flushMetrics folds the locally-batched event count into the shared

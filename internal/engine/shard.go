@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/report"
 	"repro/internal/trace"
@@ -21,7 +20,6 @@ type toolInst struct {
 	col  *report.Collector
 	sink *trace.SafeSink
 	cur  *uint64
-	ns   int64 // time inside handlers, accumulated when Options.ToolTime is on
 }
 
 func newToolInst(spec trace.ToolSpec, opt Options, cur *uint64) *toolInst {
@@ -54,40 +52,31 @@ type shard struct {
 	pinnedFull  []*toolInst // RouteSingle instances homed here
 	cur         uint64      // global sequence of the event being processed
 	events      int64
-	timed       bool // Options.ToolTime: bracket deliveries with clock reads
 	done        chan struct{}
 
-	// Snapshot barrier plumbing, shared across all shards of one Engine: a
-	// nil batch on ch is the quiesce marker (see Engine.Snapshot).
+	// Snapshot barrier plumbing: a nil batch on ch is the quiesce marker
+	// (see Engine.Snapshot). snapWG is shared across all shards of one
+	// Engine; snapGate is this shard's own, so a worker that resumes early
+	// and reaches the next barrier cannot take the token that releases a
+	// sibling still parked at the previous one.
 	snapWG   *sync.WaitGroup
-	snapGate <-chan struct{}
+	snapGate chan struct{}
 }
 
 func newShard(id int, opt Options, b *batch) *shard {
 	return &shard{
-		id:      id,
-		ch:      make(chan *batch, opt.QueueDepth),
-		pending: b,
-		timed:   opt.ToolTime,
-		done:    make(chan struct{}),
+		id:       id,
+		ch:       make(chan *batch, opt.QueueDepth),
+		pending:  b,
+		done:     make(chan struct{}),
+		snapGate: make(chan struct{}, 1),
 	}
 }
 
-// deliverAll hands the event to each instance, optionally attributing the
-// handler time to it. The timed branch is kept out of the common path: two
-// clock reads per (event, instance) are noticeable, and the flag is an
-// explicit attribution request.
-func deliverAll(insts []*toolInst, ev *event, timed bool) {
-	if !timed {
-		for _, ti := range insts {
-			ev.Deliver(ti.sink)
-		}
-		return
-	}
+// deliverAll hands the event to each instance.
+func deliverAll(insts []*toolInst, ev *event) {
 	for _, ti := range insts {
-		t0 := time.Now()
 		ev.Deliver(ti.sink)
-		ti.ns += time.Since(t0).Nanoseconds()
 	}
 }
 
@@ -123,13 +112,13 @@ func (s *shard) run(pool *sync.Pool) {
 			ev := &b.ev[i]
 			s.cur = ev.seq
 			if ev.dst&dstSharded != 0 {
-				deliverAll(s.sharded, ev, s.timed)
+				deliverAll(s.sharded, ev)
 			}
 			if ev.dst&dstPinned != 0 {
 				if !blockOp(ev.Op) {
-					deliverAll(s.pinnedBcast, ev, s.timed)
+					deliverAll(s.pinnedBcast, ev)
 				}
-				deliverAll(s.pinnedFull, ev, s.timed)
+				deliverAll(s.pinnedFull, ev)
 			}
 		}
 		s.events += int64(len(b.ev))

@@ -70,10 +70,11 @@ func (e *Engine) Snapshot() (*report.Collector, error) {
 	for i, ti := range e.insts {
 		cols[i] = snapshotCollector(ti.col)
 	}
-	// Resume: one gate token per parked worker (the gate is buffered to the
-	// shard count, so this never blocks).
-	for range e.shards {
-		e.snapGate <- struct{}{}
+	// Resume: one token on each parked worker's own gate. A gate holds at
+	// most this one token (its worker consumed the previous one before
+	// checking in), so the send never blocks.
+	for _, s := range e.shards {
+		s.snapGate <- struct{}{}
 	}
 	return report.Merge(e.opt.Resolver, e.opt.Suppressor, cols...), nil
 }

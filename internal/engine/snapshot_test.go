@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/report"
@@ -171,5 +172,38 @@ func TestSnapshotContracts(t *testing.T) {
 			t.Errorf("%s: Snapshot of a failed stream succeeded", name)
 		}
 		torn.Close()
+	}
+}
+
+// TestSnapshotBackToBack: snapshots taken one event apart on many shards
+// must each resume every worker. With one resume gate shared by all shards,
+// a worker released early could take a sibling's token at the next barrier;
+// the sibling then parked forever and the following Snapshot hung.
+func TestSnapshotBackToBack(t *testing.T) {
+	eng, err := engine.New(engine.Options{Shards: 8, Tools: []trace.ToolSpec{
+		{Name: "nop", Routing: trace.RouteBlock, Factory: func(trace.Reporter) trace.Sink { return nopTool{} }},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 10000; i++ {
+			eng.Access(&trace.Access{Thread: 1, Block: trace.BlockID(i), Size: 4})
+			if _, err := eng.Snapshot(); err != nil {
+				done <- err
+				return
+			}
+		}
+		_, err := eng.Close()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("back-to-back snapshots hung: a shard worker never resumed")
 	}
 }

@@ -64,12 +64,6 @@ type PerfWorkload struct {
 	// every measured run, which perturbs wall-clock numbers slightly — off
 	// by default so pure-latency trajectories stay comparable.
 	MeasureAllocs bool
-	// ToolTime additionally attributes wall time to each tool in the
-	// one-pass measurements (perfbench -tooltime), via engine
-	// Options.ToolTime. The bracketing clock reads inflate the total
-	// ns/event figure, so it is off by default; a run with ToolTime on is an
-	// attribution run, not a trajectory point.
-	ToolTime bool
 }
 
 // DefaultPerfWorkload returns a workload sized for a quick benchmark run.
@@ -327,10 +321,6 @@ type OnePassResult struct {
 	// measured run, present only with PerfWorkload.MeasureAllocs.
 	AllocsPerEvt float64 `json:"allocs_per_event,omitempty"`
 	BytesPerEvt  float64 `json:"bytes_per_event,omitempty"`
-	// ToolNs is the wall time spent inside each tool's handlers, present
-	// only with PerfWorkload.ToolTime. The residual against NsTotal is
-	// decode + dispatch.
-	ToolNs map[string]int64 `json:"tool_ns,omitempty"`
 }
 
 // OnePassReplay records the workload's trace once, then measures the
@@ -359,7 +349,7 @@ func (w PerfWorkload) OnePassReplayLog(v *vm.VM, log []byte, shards int, specs [
 		meter = startAllocMeter()
 	}
 	start := time.Now()
-	seq, err := engine.NewSequential(engine.Options{Tools: specs, Resolver: v, ToolTime: w.ToolTime})
+	seq, err := engine.NewSequential(engine.Options{Tools: specs, Resolver: v})
 	if err != nil {
 		return nil, err
 	}
@@ -376,7 +366,6 @@ func (w PerfWorkload) OnePassReplayLog(v *vm.VM, log []byte, shards int, specs [
 		Mode: "sequential", Shards: 1, Tools: names, Events: events,
 		NsTotal: dur.Nanoseconds(), NsPerEvt: float64(dur.Nanoseconds()) / float64(events),
 		Locations: col.LocationsByTool(),
-		ToolNs:    seq.ToolTimes(),
 	}}
 	if meter != nil {
 		out[0].AllocsPerEvt, out[0].BytesPerEvt = meter.perEvent(events)
@@ -386,7 +375,7 @@ func (w PerfWorkload) OnePassReplayLog(v *vm.VM, log []byte, shards int, specs [
 		meter = startAllocMeter()
 	}
 	start = time.Now()
-	eng, err := engine.New(engine.Options{Shards: shards, Tools: specs, Resolver: v, ToolTime: w.ToolTime})
+	eng, err := engine.New(engine.Options{Shards: shards, Tools: specs, Resolver: v})
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +391,6 @@ func (w PerfWorkload) OnePassReplayLog(v *vm.VM, log []byte, shards int, specs [
 		Mode: fmt.Sprintf("parallel-%d", shards), Shards: shards, Tools: names, Events: events,
 		NsTotal: dur.Nanoseconds(), NsPerEvt: float64(dur.Nanoseconds()) / float64(events),
 		Locations: merged.LocationsByTool(),
-		ToolNs:    eng.ToolTimes(),
 	}
 	if meter != nil {
 		par.AllocsPerEvt, par.BytesPerEvt = meter.perEvent(events)

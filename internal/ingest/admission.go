@@ -25,10 +25,10 @@ package ingest
 //     the broadcast tools (the lock-order detector). Block-routed tools —
 //     lockset, djit, hybrid, memcheck, the paper's core detectors — are never
 //     shed.
-//   - Sampler (sampler, replaySampled): under Config.AdaptiveSampling, a
-//     session admitted under pressure decodes in ingest rather than through
-//     Pipeline.ReplayLog, dropping a deterministic per-block fraction of
-//     memory-access events before dispatch. Only OpAccess is ever sampled:
+//   - Sampler (sampler): under Config.AdaptiveSampling, a session decodes
+//     through tracelog.Each rather than Pipeline.ReplayLog, and under
+//     pressure drops a deterministic per-block fraction of memory-access
+//     events between decode and dispatch. Only OpAccess is ever sampled:
 //     lock, allocation, sync, segment and thread events always pass, so the
 //     happens-before and lockset machinery stays sound and sampling can only
 //     miss warnings, never invent them. The exact sampled-out count is
@@ -40,7 +40,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/trace"
 	"repro/internal/tracelog"
 )
@@ -334,27 +333,4 @@ func (sam *sampler) keep(ev *tracelog.Event) bool {
 		return true
 	}
 	return trace.Shard(ev.Access.Block, 100) < sam.keepPct
-}
-
-// replaySampled is the sampling counterpart of Pipeline.ReplayLog: ingest
-// owns the decode loop so the sampler can drop events before dispatch while
-// counting them exactly. It returns the number of events the stream carried
-// (sent = analysed + sam.dropped); the error contract matches ReplayLog.
-func replaySampled(pipe engine.Pipeline, r io.Reader, sam *sampler) (int64, error) {
-	dec := tracelog.NewDecoder(r)
-	var ev tracelog.Event
-	for {
-		err := dec.Next(&ev)
-		if err == io.EOF {
-			return dec.Events(), nil
-		}
-		if err != nil {
-			return dec.Events(), err
-		}
-		if sam.keep(&ev) {
-			ev.Deliver(pipe)
-		} else {
-			sam.dropped++
-		}
-	}
 }

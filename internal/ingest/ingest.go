@@ -889,11 +889,18 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	var events int64
 	if sam != nil {
-		// Sampled replay: ingest owns the decode loop, dropping events
-		// before dispatch; events counts what was analysed, the remainder is
-		// the exact sampled-out tally.
+		// Sampled replay: the sampler drops events between decode and
+		// dispatch; events counts what was analysed, the remainder is the
+		// exact sampled-out tally. A decode error ends the session below
+		// exactly as it does an unsampled one.
 		var sent int64
-		sent, err = replaySampled(pipe, stream, sam)
+		sent, err = tracelog.Each(stream, func(ev *tracelog.Event) {
+			if sam.keep(ev) {
+				ev.Deliver(pipe)
+			} else {
+				sam.dropped++
+			}
+		})
 		events = sent - sam.dropped
 	} else {
 		events, err = pipe.ReplayLog(stream)

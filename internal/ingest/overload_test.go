@@ -420,3 +420,61 @@ func TestFoldSiteCapCompaction(t *testing.T) {
 		t.Errorf("compaction metric = %d, want %d", got, agg.CompactedSites)
 	}
 }
+
+// TestSampledStreamFailsLikeUnsampled: a stream torn mid-event fails the same
+// way whether or not the session samples — an error frame and no report for
+// the client, a failed session with the decode error on the server, and a
+// failed (not reported) session in the aggregate. With MaxSessions 1 every
+// admitted session holds the only slot, which is full pressure, so the
+// sampled session really drops events before the tear.
+func TestSampledStreamFailsLikeUnsampled(t *testing.T) {
+	log := recordScenario(t, 2, true)
+	// Cut inside an event, so the event decoder rather than the frame layer
+	// is what fails: the client still sends a clean end frame.
+	cut := len(log) / 2
+	for ; cut < len(log); cut++ {
+		if _, err := scenario.CountEvents(log[:cut]); err != nil {
+			break
+		}
+	}
+	if cut == len(log) {
+		t.Fatal("no cut point inside an event")
+	}
+
+	sessErrs := map[bool]string{}
+	for _, sampling := range []bool{false, true} {
+		srv, addr := startServer(t, ingest.Config{MaxSessions: 1, AdaptiveSampling: sampling})
+		c, err := ingest.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := c.StreamTrace("torn", log[:cut], 0)
+		c.Close()
+		if err == nil || report != "" {
+			t.Fatalf("sampling=%v: torn stream got report %q, err %v; want an error frame and no report", sampling, report, err)
+		}
+		if !strings.Contains(err.Error(), "stream:") {
+			t.Errorf("sampling=%v: error frame %q is not the mid-stream failure", sampling, err)
+		}
+		sess := srv.SessionByName("torn")
+		if sess == nil {
+			t.Fatalf("sampling=%v: torn session missing from the registry", sampling)
+		}
+		if st := waitSession(t, sess); st != ingest.StateFailed {
+			t.Errorf("sampling=%v: session state %v, want failed", sampling, st)
+		}
+		if sess.Err() == nil {
+			t.Fatalf("sampling=%v: failed session has nil Err", sampling)
+		}
+		sessErrs[sampling] = sess.Err().Error()
+		if sampling && sess.SampledOut() == 0 {
+			t.Error("sampled session dropped no events; the sampled decode path did not run")
+		}
+		if agg := srv.Aggregate(); agg.Failed != 1 || agg.Reported != 0 {
+			t.Errorf("sampling=%v: aggregate = %d failed / %d reported, want 1/0", sampling, agg.Failed, agg.Reported)
+		}
+	}
+	if sessErrs[true] != sessErrs[false] {
+		t.Errorf("sampled session failed with %q, unsampled with %q", sessErrs[true], sessErrs[false])
+	}
+}

@@ -177,22 +177,13 @@ type Detector struct {
 	races   int // dynamic race reports, pre-dedup
 }
 
-// Factory returns a constructor building an independent detector per
-// collector — the shape the parallel engine wants for its per-shard
-// detectors. Each instance owns all of its state (set table, segment graph,
-// shadow memory), so instances never share mutable state.
-//
-// Deprecated: register the detector through Spec instead; Factory remains
-// for single-tool engine callers.
-func Factory(cfg Config) func(col *report.Collector) trace.Sink {
-	return func(col *report.Collector) trace.Sink { return New(cfg, col) }
-}
-
 // Spec registers the detector with the analysis engine's tool registry. The
 // detector is block-routed: its warning-producing shadow state is per heap
 // block and warnings arise only from block-carrying events, while the
 // thread/lock/segment state it also keeps is derived purely from broadcast
-// events and therefore evolves identically in every shard.
+// events and therefore evolves identically in every shard. Each instance owns
+// all of its state (set table, segment graph, shadow memory), so per-shard
+// instances never share mutable state.
 func Spec(cfg Config) trace.ToolSpec {
 	cfg = cfg.withDefaults()
 	return trace.ToolSpec{

@@ -265,11 +265,18 @@ func (d *Decoder) Next(ev *Event) error {
 		if err != nil {
 			return err
 		}
+		// Detectors walk the granules [Off, Off+Size-1]: an empty or
+		// wrapping range would turn that walk into a 2^32-step (or endless)
+		// loop, so it stops here. The VM never emits one.
+		off, size := uint32(f[4]), uint32(f[5])
+		if size == 0 || off+size < off {
+			return fmt.Errorf("tracelog: corrupt access event: offset %d size %d", off, size)
+		}
 		ev.Op = OpAccess
 		ev.Access = trace.Access{
 			Thread: trace.ThreadID(f[0]), Seg: trace.SegmentID(f[1]),
 			Block: trace.BlockID(f[2]), Addr: trace.Addr(f[3]),
-			Off: uint32(f[4]), Size: uint32(f[5]),
+			Off: off, Size: size,
 			Kind: trace.AccessKind(f[6]), Atomic: f[7] != 0,
 			Stack: trace.StackID(f[8]),
 		}

@@ -61,6 +61,8 @@ func FuzzDecoder(f *testing.F) {
 	f.Add([]byte{0xfe})
 	f.Add([]byte{7, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // segment with absurd edge count
 	f.Add([]byte{5, 1, 1, 4, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f})                // alloc with absurd tag length
+	f.Add(accessZeroSize)
+	f.Add(accessWrapping)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := tracelog.NewDecoder(bytes.NewReader(data))
@@ -73,7 +75,11 @@ func FuzzDecoder(f *testing.F) {
 			if err != nil {
 				return // any non-EOF error is a valid rejection
 			}
-			// Decoded events must still be deliverable without panicking.
+			// Decoded events must still be deliverable without panicking,
+			// and an access must name a non-empty granule range.
+			if ev.Op == tracelog.OpAccess && (ev.Access.Size == 0 || ev.Access.Off+ev.Access.Size < ev.Access.Off) {
+				t.Fatalf("decoded access with offset %d size %d", ev.Access.Off, ev.Access.Size)
+			}
 			ev.Deliver(trace.BaseSink{})
 		}
 	})
@@ -190,13 +196,24 @@ func FuzzFramedStream(f *testing.F) {
 	})
 }
 
+// Hostile access events: thread 1, segment 1, block 1, address 0, then the
+// offset and size under test, a write, non-atomic, stack 1. Delivered to a
+// detector, either would walk about 2^32 granules.
+var (
+	accessZeroSize = []byte{1, 1, 1, 1, 0, 0, 0, 1, 0, 1}
+	accessWrapping = []byte{1, 1, 1, 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 1, 0, 1}
+)
+
 // TestDecoderBounds pins the hardening the fuzz target relies on: claimed
 // lengths beyond the corruption bounds are rejected as errors, not
-// allocated.
+// allocated, and an access whose byte range is empty or wraps uint32 never
+// reaches a tool.
 func TestDecoderBounds(t *testing.T) {
 	cases := map[string][]byte{
-		"segment-edges": {7, 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
-		"alloc-tag":     {5, 1, 1, 4, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"segment-edges":   {7, 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		"alloc-tag":       {5, 1, 1, 4, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"access-size-0":   accessZeroSize,
+		"access-wrapping": accessWrapping,
 	}
 	for name, data := range cases {
 		d := tracelog.NewDecoder(bytes.NewReader(data))

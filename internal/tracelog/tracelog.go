@@ -176,13 +176,14 @@ func (r *Recorder) ThreadExit(t trace.ThreadID) {
 
 var _ trace.Sink = (*Recorder)(nil)
 
-// Replay reads a binary log and delivers every event to the given sinks, in
-// order. Blocks are reconstructed so that Free events carry the matching
-// descriptor. It returns the number of events replayed.
-//
-// Replay is the sequential analysis path; internal/engine consumes the same
-// Decoder to fan a log out across shard workers.
-func Replay(rd io.Reader, sinks ...trace.Sink) (int64, error) {
+// Each decodes a binary log and hands every event to fn, in order. It is
+// the one decode loop: Replay, the engine pipelines' ReplayLog and every
+// other consumer of a recorded stream go through it. The *Event is reused
+// for the next event, so fn must not retain it (or its Segment.In slice)
+// beyond the call. Each returns the number of events decoded — counting an
+// event whose payload turned out to be truncated — and nil at a clean end of
+// log, or the first decode error.
+func Each(rd io.Reader, fn func(*Event)) (int64, error) {
 	d := NewDecoder(rd)
 	var ev Event
 	for {
@@ -193,10 +194,23 @@ func Replay(rd io.Reader, sinks ...trace.Sink) (int64, error) {
 		if err != nil {
 			return d.Events(), err
 		}
+		fn(&ev)
+	}
+}
+
+// Replay reads a binary log and delivers every event to the given sinks, in
+// order. Blocks are reconstructed so that Free events carry the matching
+// descriptor. It returns the number of events replayed.
+//
+// Replay is the plain sequential path for hand-wired sinks; the engine's
+// pipelines run a tool registry over the same loop (Each) through their
+// ReplayLog methods.
+func Replay(rd io.Reader, sinks ...trace.Sink) (int64, error) {
+	return Each(rd, func(ev *Event) {
 		for _, s := range sinks {
 			ev.Deliver(s)
 		}
-	}
+	})
 }
 
 // readN collects n uvarint fields through the given read callback. The
