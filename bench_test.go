@@ -456,7 +456,7 @@ func BenchmarkScenarioReplay(b *testing.B) {
 	}
 	var locations int
 	for i := 0; i < b.N; i++ {
-		col, err := scenario.RunOffline(recVM, log, 1)
+		col, err := scenario.RunOffline(recVM, log)
 		if err != nil {
 			b.Fatal(err)
 		}

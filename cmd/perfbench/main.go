@@ -1,10 +1,9 @@
 // Command perfbench regenerates the §4.5 overhead comparison: the same
 // workload natively, on the bare VM, and on the VM with each analysis
-// attached. It also measures offline replay throughput — sequential versus
-// the sharded parallel engine — per detector configuration, and the
-// one-decode comparative mode: all three paper configurations (plus any
-// extra -tools) analysed concurrently in a single pass over the trace,
-// instead of replaying it once per configuration.
+// attached. It also measures offline replay throughput per detector
+// configuration, and the one-decode comparative mode: all three paper
+// configurations (plus any extra -tools) analysed in a single pass over the
+// trace, instead of replaying it once per configuration.
 //
 // With -ingest it additionally measures the live trace-ingest daemon
 // (internal/ingest): the recorded workload trace streamed over real loopback
@@ -13,11 +12,11 @@
 // events/sec per level.
 //
 // With -json the results are emitted as a machine-readable document
-// (harness.BenchDoc: ns/event per detector config, sequential vs -parallel
-// N), so successive PRs can track the performance trajectory in
-// BENCH_*.json files. The document records GOMAXPROCS, NumCPU and the shard
-// count, so a trajectory measured on a 1-CPU container is distinguishable
-// from a multi-core run. -alloc adds allocs/event and bytes/event to every
+// (harness.BenchDoc: ns/event per detector config and for the one-pass
+// registry), so successive PRs can track the performance trajectory in
+// BENCH_*.json files. The document records GOMAXPROCS and NumCPU, so a
+// trajectory measured on a 1-CPU container is distinguishable from a
+// multi-core run. -alloc adds allocs/event and bytes/event to every
 // replay row. -check FILE validates an existing document against the
 // current schema and exits — the CI smoke for committed BENCH files.
 //
@@ -25,7 +24,7 @@
 //
 //	perfbench
 //	perfbench -threads 8 -iters 5000
-//	perfbench -json -alloc -parallel 4 -ingest > BENCH_$(date +%F).json
+//	perfbench -json -alloc -ingest > BENCH_$(date +%F).json
 //	perfbench -check BENCH_2026-08-07.json
 //	perfbench -compare BENCH_2026-08-07.json BENCH_2026-09-01.json
 //	perfbench -tools lockset,djit,deadlock,memcheck,highlevel
@@ -59,7 +58,6 @@ func main() {
 		slots          = flag.Int("slots", 64, "shared table slots")
 		seed           = flag.Int64("seed", 1, "scheduler seed")
 		repeat         = flag.Int("repeat", 3, "repetitions (best run reported)")
-		parallel       = flag.Int("parallel", 4, "engine shards for the replay measurements")
 		tools          = flag.String("tools", "", "extra tools to add to the one-pass comparative replay (comma-separated, e.g. djit,deadlock,memcheck; 'all' for every tool)")
 		asJSON         = flag.Bool("json", false, "emit machine-readable JSON instead of the text table")
 		alloc          = flag.Bool("alloc", false, "also measure allocs/event and bytes/event per replay measurement")
@@ -68,7 +66,6 @@ func main() {
 		compareTol     = flag.Float64("compare-tolerance", 0.10, "relative sequential-replay allocs/event regression tolerated by -compare")
 		ingest         = flag.Bool("ingest", false, "also measure live-ingest throughput through the trace-ingest server")
 		ingestSessions = flag.String("ingest-sessions", "1,8,64", "comma-separated concurrent session counts for -ingest")
-		ingestShards   = flag.Int("ingest-shards", 1, "per-session engine shards for -ingest (1 = sequential per session)")
 		overload       = flag.Bool("overload", false, "also measure the overload workload: a flood of sessions against a small server with bounded admission and adaptive degradation")
 		overloadN      = flag.Int("overload-sessions", 64, "concurrent sessions in the -overload flood")
 		overloadSlots  = flag.Int("overload-max", 4, "server MaxSessions for the -overload flood")
@@ -121,8 +118,7 @@ func main() {
 
 	// The §4.5 overhead matrix keeps the classic single-block table so its
 	// ratios stay comparable with earlier measurements; only the replay
-	// benchmark spreads the table across blocks to give the engine's shard
-	// hash fan-out.
+	// benchmark spreads the table across blocks.
 	w := harness.PerfWorkload{Threads: *threads, Iters: *iters, Slots: *slots, Seed: *seed}
 	wr := w
 	wr.Blocks = *slots
@@ -162,16 +158,16 @@ func main() {
 	// allocations of interning and pooled state) that later ones do not. One
 	// unmeasured pass keeps it out of whichever best-of-N row the first
 	// repetition would otherwise win, so allocs/event is the steady state.
-	if _, err := wr.ReplayBenchLog(rvm, rlog, *parallel); err != nil {
+	if _, err := wr.ReplayBenchLog(rvm, rlog); err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench: replay:", err)
 		os.Exit(1)
 	}
 
-	// ReplayBench returns rows in a fixed order (config x mode), so best-of
-	// selection aligns by index.
+	// ReplayBench returns rows in a fixed config order, so best-of selection
+	// aligns by index.
 	var replay []harness.ReplayResult
 	for r := 0; r < *repeat; r++ {
-		rr, err := wr.ReplayBenchLog(rvm, rlog, *parallel)
+		rr, err := wr.ReplayBenchLog(rvm, rlog)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "perfbench: replay:", err)
 			os.Exit(1)
@@ -199,21 +195,15 @@ func main() {
 		}
 		specs = append(specs, extra...)
 	}
-	var onePass []harness.OnePassResult
+	var onePass harness.OnePassResult
 	for r := 0; r < *repeat; r++ {
-		op, err := wr.OnePassReplayLog(rvm, rlog, *parallel, specs)
+		op, err := wr.OnePassReplayLog(rvm, rlog, specs)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "perfbench: one-pass:", err)
 			os.Exit(1)
 		}
-		if onePass == nil {
+		if r == 0 || op.NsTotal < onePass.NsTotal {
 			onePass = op
-			continue
-		}
-		for i, res := range op {
-			if res.NsTotal < onePass[i].NsTotal {
-				onePass[i] = res
-			}
 		}
 	}
 
@@ -232,7 +222,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "perfbench:", err)
 			os.Exit(2)
 		}
-		ingestRows, err = harness.IngestBenchLog(rlog, ingestTools, *ingestShards, counts)
+		ingestRows, err = harness.IngestBenchLog(rlog, ingestTools, counts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "perfbench: ingest:", err)
 			os.Exit(1)
@@ -262,8 +252,8 @@ func main() {
 			Schema: harness.BenchSchemaVersion, Date: time.Now().UTC().Format("2006-01-02"),
 			Threads: *threads, Iters: *iters, Slots: *slots, Blocks: wr.Blocks,
 			Seed: *seed, GoMaxProc: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-			Shards: *parallel,
-			Replay: replay, OnePass: onePass, Ingest: ingestRows,
+			Shards: 1,
+			Replay: replay, OnePass: []harness.OnePassResult{onePass}, Ingest: ingestRows,
 			Overload: overloadRows,
 		}
 		for _, r := range out {
@@ -290,46 +280,45 @@ func main() {
 	fmt.Print(harness.FormatOverhead(out))
 	fmt.Printf("\noffline replay, ns/event (best of %d, %d events):\n\n", *repeat, replay[0].Events)
 	if *alloc {
-		fmt.Printf("%-10s %14s %14s %16s %16s\n", "config", "sequential", replay[1].Mode, "seq allocs/ev", "par allocs/ev")
+		fmt.Printf("%-10s %14s %16s\n", "config", "ns/event", "allocs/event")
 	} else {
-		fmt.Printf("%-10s %14s %14s\n", "config", "sequential", replay[1].Mode)
+		fmt.Printf("%-10s %14s\n", "config", "ns/event")
 	}
 	var seqTotal int64
-	for i := 0; i < len(replay); i += 2 {
+	for _, r := range replay {
 		if *alloc {
-			fmt.Printf("%-10s %14.1f %14.1f %16.3f %16.3f\n", replay[i].Config,
-				replay[i].NsPerEvt, replay[i+1].NsPerEvt, replay[i].AllocsPerEvt, replay[i+1].AllocsPerEvt)
+			fmt.Printf("%-10s %14.1f %16.3f\n", r.Config, r.NsPerEvt, r.AllocsPerEvt)
 		} else {
-			fmt.Printf("%-10s %14.1f %14.1f\n", replay[i].Config, replay[i].NsPerEvt, replay[i+1].NsPerEvt)
+			fmt.Printf("%-10s %14.1f\n", r.Config, r.NsPerEvt)
 		}
-		seqTotal += replay[i].NsTotal
+		seqTotal += r.NsTotal
 	}
-	fmt.Printf("\none-decode comparative mode: %d tool(s) in one pass (%d events):\n\n", len(specs), onePass[0].Events)
-	fmt.Printf("%-14s %14s %14s\n", "mode", "ns/event", "locations")
-	for _, op := range onePass {
-		names := make([]string, 0, len(op.Locations))
-		for n := range op.Locations {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		locs := ""
-		for i, n := range names {
-			if i > 0 {
-				locs += " "
-			}
-			locs += fmt.Sprintf("%s=%d", n, op.Locations[n])
-		}
-		fmt.Printf("%-14s %14.1f   %s\n", op.Mode, op.NsPerEvt, locs)
+	fmt.Printf("\none-decode comparative mode: %d tool(s) in one pass (%d events):\n\n", len(specs), onePass.Events)
+	names := make([]string, 0, len(onePass.Locations))
+	for n := range onePass.Locations {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	locs := make([]string, len(names))
+	for i, n := range names {
+		locs[i] = fmt.Sprintf("%s=%d", n, onePass.Locations[n])
+	}
+	if *alloc {
+		fmt.Printf("%-14s %14s   %s\n", "ns/event", "allocs/event", "locations")
+		fmt.Printf("%-14.1f %14.3f   %s\n", onePass.NsPerEvt, onePass.AllocsPerEvt, strings.Join(locs, " "))
+	} else {
+		fmt.Printf("%-14s   %s\n", "ns/event", "locations")
+		fmt.Printf("%-14.1f   %s\n", onePass.NsPerEvt, strings.Join(locs, " "))
 	}
 	if *tools == "" {
 		// Only apples to apples: with extra -tools the one-pass run analyses
 		// more than the three per-config replays do.
 		fmt.Printf("\nvs %d per-config sequential replays: %.2fx the decode+analysis time in one pass\n",
-			len(specs), float64(onePass[0].NsTotal)/float64(seqTotal))
+			len(specs), float64(onePass.NsTotal)/float64(seqTotal))
 	}
 	if len(ingestRows) > 0 {
-		fmt.Printf("\nlive ingest (all six tools per session, %d shard(s)/session, %d events/trace):\n\n",
-			ingestRows[0].Shards, ingestRows[0].Events/int64(ingestRows[0].Sessions))
+		fmt.Printf("\nlive ingest (all six tools per session, %d events/trace):\n\n",
+			ingestRows[0].Events/int64(ingestRows[0].Sessions))
 		fmt.Printf("%-10s %14s %14s %14s\n", "sessions", "events", "wall time", "events/sec")
 		for _, r := range ingestRows {
 			fmt.Printf("%-10d %14d %14s %14.0f\n", r.Sessions, r.Events,
@@ -342,11 +331,6 @@ func main() {
 			r.Completed, r.Rejected, r.DegradedSessions, r.SampledOut,
 			time.Duration(r.NsTotal).Round(time.Millisecond),
 			time.Duration(r.MaxRejectNs).Round(time.Millisecond))
-	}
-	if runtime.GOMAXPROCS(0) < *parallel {
-		fmt.Printf("\nnote: GOMAXPROCS=%d < %d shards — the parallel columns measure engine\n",
-			runtime.GOMAXPROCS(0), *parallel)
-		fmt.Println("overhead, not speedup; run on a multi-core host for the scaling numbers.")
 	}
 }
 

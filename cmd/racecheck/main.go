@@ -10,7 +10,7 @@
 //	racecheck -workload counter -tools djit
 //	racecheck -workload threadpool -config hwlc+dr -edges full
 //	racecheck -workload birthday -tools lockset,highlevel
-//	racecheck -workload counter -tools all -parallel 4
+//	racecheck -workload counter -tools all
 //
 // -tools names the tools that run together over one pass of the execution
 // (default lockset,deadlock,memcheck; "all" for every tool). -config and
@@ -208,8 +208,7 @@ func main() {
 		config   = flag.String("config", "hwlc+dr", "lockset configuration: original | hwlc | hwlc+dr")
 		edges    = flag.String("edges", "helgrind", "segment edges: helgrind | full")
 		seed     = flag.Int64("seed", 1, "scheduler seed")
-		tools    = flag.String("tools", "lockset,deadlock,memcheck", "comma-separated tools to run concurrently in one pass: "+strings.Join(core.ToolNames, ", ")+"; 'all' for every tool")
-		parallel = flag.Int("parallel", 1, "shard the registered tools across N engine workers (>1 enables the parallel analysis engine)")
+		tools    = flag.String("tools", "lockset,deadlock,memcheck", "comma-separated tools to run together in one pass: "+strings.Join(core.ToolNames, ", ")+"; 'all' for every tool")
 	)
 	flag.Parse()
 
@@ -230,7 +229,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opt := core.Options{Seed: *seed, Parallel: *parallel}
+	opt := core.Options{Seed: *seed}
 	annotate := false
 	switch *config {
 	case "original":
@@ -247,7 +246,7 @@ func main() {
 	if *edges == "full" {
 		opt.Lockset.Mask = trace.MaskFull
 	}
-	// Every named tool runs concurrently over one pass of the stream, using
+	// Every named tool runs over one pass of the stream, using
 	// the lock-set configuration assembled above.
 	specs, err := opt.ParseTools(*tools)
 	if err != nil {
@@ -263,11 +262,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "racecheck:", err)
 		os.Exit(1)
 	}
-	mode := ""
-	if *parallel > 1 {
-		mode = fmt.Sprintf(", %d-shard engine", *parallel)
-	}
-	fmt.Printf("== workload %q under %s (seed %d%s)\n\n", *workload, label, *seed, mode)
+	fmt.Printf("== workload %q under %s (seed %d)\n\n", *workload, label, *seed)
 	fmt.Print(res.Report())
 	if res.Err != nil {
 		fmt.Printf("\nguest execution ended abnormally: %v\n", res.Err)

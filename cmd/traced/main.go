@@ -44,7 +44,7 @@
 // Usage:
 //
 //	traced -listen unix:/tmp/traced.sock
-//	traced -listen tcp:127.0.0.1:7433 -tools lockset,memcheck -parallel 4
+//	traced -listen tcp:127.0.0.1:7433 -tools lockset,memcheck
 //	traced -listen tcp:127.0.0.1:7433 -report-interval 500ms -retain 128 -idle-timeout 30s
 //	traced -listen tcp:127.0.0.1:7433 -http 127.0.0.1:9090 -stats-interval 10s
 //	traced -listen unix:/tmp/traced.sock -max-sessions 4 -admit-timeout 500ms -sampling -ladder
@@ -89,7 +89,6 @@ func main() {
 	var (
 		listen         = flag.String("listen", "tcp:127.0.0.1:7433", "listen address (network:address; unix:/path or tcp:host:port)")
 		toolList       = flag.String("tools", "all", "per-session tool registry (comma-separated, 'all' for every tool)")
-		parallel       = flag.Int("parallel", 1, "per-session engine shards (<= 1 analyses each session sequentially)")
 		maxSessions    = flag.Int("max-sessions", 64, "concurrently analysed session cap")
 		grace          = flag.Duration("grace", 30*time.Second, "shutdown grace period for in-flight sessions")
 		reportInterval = flag.Duration("report-interval", 0, "periodic incremental session reports (0 disables; served to 'session'/'snapshots' queries)")
@@ -128,7 +127,6 @@ func main() {
 	reg := obs.NewRegistry()
 	srv, err := ingest.NewServer(ingest.Config{
 		Tools:          tools,
-		Shards:         *parallel,
 		MaxSessions:    *maxSessions,
 		ReportInterval: *reportInterval,
 		RetainSessions: *retain,
@@ -157,8 +155,8 @@ func main() {
 	if *backendMode {
 		role = ", backend mode"
 	}
-	fmt.Printf("traced: listening on %s (tools %s, %d shard(s)/session, %d session slot(s)%s)\n",
-		*listen, *toolList, *parallel, *maxSessions, role)
+	fmt.Printf("traced: listening on %s (tools %s, %d session slot(s)%s)\n",
+		*listen, *toolList, *maxSessions, role)
 
 	if *httpAddr != "" {
 		hsrv, err := serveHTTP(*httpAddr, reg, srv.Draining)

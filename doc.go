@@ -7,90 +7,64 @@
 //
 // # Analysis pipelines
 //
-// Analysis runs in three modes, all producing byte-identical reports:
+// Analysis runs in two modes, both producing byte-identical reports:
 //
 //   - online: the tool pipeline attached to the VM observes events as the
 //     guest executes (internal/core, the paper's on-the-fly mode);
 //   - offline: a recorded binary trace (internal/tracelog) is replayed into
 //     the same pipeline post-mortem (§2.2). Every consumer of a recorded
-//     stream decodes it through one loop, tracelog.Each;
-//   - parallel: internal/engine shards the stream — recorded or live —
-//     across N worker cores.
+//     stream decodes it through one loop, tracelog.Each.
+//
+// Either way one pipeline (engine.Sequential) analyses one stream inline, in
+// order, the way the paper's Helgrind-based tools analyse a monitored
+// process. Parallelism comes from running independent streams at once: the
+// ingest server analyses its sessions concurrently, and the router tier
+// spreads sessions across backend processes.
 //
 // # The tool registry
 //
 // Where the paper runs each analysis as a separate Valgrind tool — one
 // execution per tool, and one replay per detector configuration — this
 // reproduction registers any number of tools (trace.ToolSpec) and runs them
-// all concurrently over a SINGLE pass of the event stream: several race
-// detector configurations side by side, plus the lock-order deadlock
-// detector, memcheck and the view-consistency checker. Each detector
-// package exports a Spec constructor declaring its name and routing class;
-// core.Options.Tools (or the -tools flag of racecheck, tracereplay and
-// perfbench) is the one way to select the registry for a run; left empty,
-// it runs the lock-set detector alone, configured by core.Options.Lockset.
+// all over a SINGLE pass of the event stream: several race detector
+// configurations side by side, plus the lock-order deadlock detector,
+// memcheck and the view-consistency checker. Each detector package exports
+// a Spec constructor declaring its name and routing class; core.Options.Tools
+// (or the -tools flag of racecheck, tracereplay and perfbench) is the one
+// way to select the registry for a run; left empty, it runs the lock-set
+// detector alone, configured by core.Options.Lockset.
 //
 // Every tool instance sits behind its own panic-isolating trace.SafeSink
 // and writes to its own report.Collector, whose sites are stamped with the
 // global sequence number of the event that produced them. At the end of the
 // stream, end-of-phase passes (trace.Finisher) run, and report.Merge folds
-// all collectors into one report ordered by global first-seen occurrence —
-// across tools and, in the parallel mode, across shards.
+// all collectors into one report ordered by global first-seen occurrence
+// across tools.
 //
-// # The sharded engine (internal/engine)
-//
-// The engine decodes the event stream once, on the dispatcher goroutine,
-// and fans it out to N shard workers over bounded batched channels
-// (backpressure, no unbounded queues). How much of the stream a tool's
-// instances see is the tool's routing class (trace.Routing), which encodes
-// the soundness argument for parallelising it:
-//
-//   - block-routed (trace.RouteBlock — lockset, DJIT, hybrid, memcheck):
-//     one instance per shard. Events naming a heap block (accesses, allocs,
-//     frees, client requests) go only to the shard owning that block
-//     (trace.Shard of its BlockID); synchronisation, segment and
-//     thread-lifecycle events are broadcast to all shards. This is sound
-//     because these tools keep their warning-producing shadow state per
-//     block and warn only from block-carrying events, while their
-//     thread/lock/segment state derives purely from broadcast events and
-//     therefore evolves identically in every shard. Memcheck is the extreme
-//     case: its whole state is the per-block freed flag, so it needs only
-//     its own block's events.
-//   - broadcast (trace.RouteBroadcast — deadlock): one pinned instance fed
-//     the broadcast substream only. The lock-order graph is global — no
-//     partition of it preserves cycles — but it is built exclusively from
-//     acquire/contended/release events, which every shard observes in full
-//     order anyway; the engine simply designates one home shard.
-//   - single-shard (trace.RouteSingle — highlevel): one pinned instance fed
-//     the complete stream; the engine additionally forwards every block
-//     event to its home shard. View consistency correlates accesses to
-//     different blocks made under one critical section, so neither a block
-//     partition nor the broadcast substream suffices.
-//
-// The merged multi-tool report is deterministic — independent of goroutine
-// scheduling and of the shard count — and byte-identical to the sequential
-// single-pass pipeline (engine.Sequential) over the same stream, live or
-// replayed. This invariant is tested for all tools at once, under all three
-// paper configurations, at 1/4/8 shards.
+// A tool's routing class (trace.Routing) states which slice of the stream
+// its warnings depend on: block-routed (lockset, DJIT, hybrid, memcheck —
+// per-block shadow state, warnings only from block-carrying events),
+// broadcast (deadlock — the global lock order) or whole-stream (highlevel —
+// views that span blocks). The pipeline delivers every event to every tool;
+// the ingest server's overload machinery reads the class to degrade a
+// session soundly (see "The live trace-ingest server" below).
 //
 // # The snapshot lifecycle
 //
-// Both pipelines additionally support mid-stream snapshots
+// The pipeline additionally supports mid-stream snapshots
 // (engine.Pipeline.Snapshot): a non-perturbing checkpoint that returns the
 // deterministic merged report of everything analysed so far while the stream
-// keeps flowing. The sharded engine quiesces with a per-shard barrier — the
-// dispatcher flushes its partial batches, sends a marker down every shard
-// channel, and waits until every worker has drained its queue up to the
-// marker and parked; each instance collector is then deep-copied through the
-// trace.Snapshotter capability (report.Collector.Clone) and the workers
-// resume. Because sites are ordered by first-seen sequence, a snapshot's
-// site manifest (report.Collector.Manifest) is always a prefix-consistent
-// subset of the final manifest (report.PrefixConsistent): same leading
-// sites, counts not yet complete. Taking snapshots at any points never
-// changes the final report — byte-identical to a snapshot-free run, pinned
-// by TestSnapshotDeterminism for all six tools at 1/4/8 shards under -race.
-// Finisher passes do not run at snapshots (they may mutate tool state), so
-// end-of-stream-only warnings appear only in the final report.
+// keeps flowing. Between events the collectors are at rest, so each is
+// deep-copied through the trace.Snapshotter capability
+// (report.Collector.Clone) and the copies are merged. Because sites are
+// ordered by first-seen sequence, a snapshot's site manifest
+// (report.Collector.Manifest) is always a prefix-consistent subset of the
+// final manifest (report.PrefixConsistent): same leading sites, counts not
+// yet complete. Taking snapshots at any points never changes the final
+// report — byte-identical to a snapshot-free run, pinned by
+// TestSnapshotDeterminism for all six tools. Finisher passes do not run at
+// snapshots (they may mutate tool state), so end-of-stream-only warnings
+// appear only in the final report.
 //
 // # Conformance scenarios (internal/scenario)
 //
@@ -114,9 +88,9 @@
 // report it under EVERY scheduler seed), and every scenario has a bug-free
 // control variant that must produce zero warnings. The conformance suite
 // (internal/scenario/scenario_conformance_test.go) runs each scenario
-// through all six tools under {sequential, 4-shard, 8-shard} × {live,
-// offline-replay} across several scheduler seeds and asserts byte-identical
-// reports across shapes, zero catalog false negatives and clean controls.
+// through all six tools both live and as an offline replay, across several
+// scheduler seeds, and asserts byte-identical live and offline reports, zero
+// catalog false negatives and clean controls.
 //
 // cmd/scenariogen generates, describes and verifies scenarios; a committed
 // golden corpus (internal/scenario/testdata/golden) pins the generator and
@@ -133,8 +107,8 @@
 // long-running daemon accepting many concurrent connections (unix socket or
 // TCP), each carrying one length-framed trace stream; every connection
 // becomes an independent session analysed by its own engine pipeline
-// (engine.NewPipeline — sequential or sharded), so a session's report is
-// byte-identical to an offline replay of the same trace.
+// (engine.NewPipeline), so a session's report is byte-identical to an
+// offline replay of the same trace.
 //
 //   - Framing (internal/tracelog frame layer): a framed stream is a 4-byte
 //     magic plus [kind][uvarint length][payload] frames; the offline log
@@ -168,8 +142,8 @@
 //     running aggregate collector (counts, summaries and merged warnings
 //     preserved exactly — folding is aggregate-preserving) and their
 //     per-session state is evicted.
-//   - Bounded memory: per session via the engine's bounded batch channels
-//     (backpressure propagates to the socket and flow-controls the client),
+//   - Bounded memory: per session via inline analysis (the socket is read
+//     only as fast as the tools analyse, which flow-controls the client),
 //     across sessions via the MaxSessions slots plus the retention policy.
 //     Config.IdleTimeout fails sessions whose clients stall, so they stop
 //     holding slots.
@@ -213,7 +187,7 @@
 // ingest.Router (traced -router -backends <spec,...>) accepts ordinary
 // client sessions and relays each one verbatim — frame by frame, no
 // re-encode — to a backend analyzer chosen by rendezvous hashing over the
-// session name, so one backend's death re-shards only its own names. The
+// session name, so one backend's death reassigns only its own names. The
 // backend (traced -backend, ingest.Config.BackendMode) analyses the stream
 // exactly as a standalone daemon would and returns its rendered report
 // (relayed byte-identically to the client) plus a structured
@@ -231,10 +205,10 @@
 // with the rest of the frame layer; see the README's "The router tier"
 // section for the wire diagram and operational details.
 //
-// Dynamic counters that must survive sharding (memcheck's error and leak
-// totals) flow through trace.Summarizer: the engine sums SummaryCounts per
-// tool across shard instances, so core.Result.Summaries — and the ingest
-// aggregate — report the same totals at every shard count.
+// Dynamic counters (memcheck's error and leak totals) flow through
+// trace.Summarizer: the engine reports SummaryCounts per tool
+// (core.Result.Summaries), and the ingest aggregate sums them across
+// sessions.
 //
 // # Self-observability (internal/obs)
 //
@@ -242,7 +216,7 @@
 // gauges, fixed-bucket histograms, labelled vectors) rendering a
 // deterministic Prometheus text snapshot. engine.NewMetrics and
 // ingest.Config.Metrics thread it through the hot paths allocation-free
-// (batched event counting, pre-resolved labelled series); instrumentation
+// (locally batched event counting, pre-resolved labelled series); instrumentation
 // never touches collectors or tool state, so reports are byte-identical
 // with metrics on or off (TestEngineMetricsConformance, TestObsConformance).
 // traced exposes the registry via the "stats" query, -http (/metrics,
@@ -254,8 +228,8 @@
 // Steady-state decode and dispatch allocate nothing per event: the decoder
 // reuses fixed field scratch, a reused tag buffer and a chunked block slab
 // (freed descriptors are evicted and recycled, bounding the block table by
-// the live set); the engine pools dispatch batches with per-batch
-// segment-edge arenas; and allocation tags plus metadata strings are
+// the live set); the pipeline delivers each event inline without copying
+// it; and allocation tags plus metadata strings are
 // canonicalised in internal/intern's process-wide table, with identical
 // metadata frame payloads content-hash deduped so concurrent sessions from
 // one binary share one table copy. The price is a copy-on-retain contract:

@@ -15,9 +15,8 @@
 //
 // Every analysis is a registered tool: the race detectors (lock-set, DJIT,
 // hybrid) and the auxiliary checkers (lock-order deadlock detection,
-// memcheck, view-consistency) all run concurrently over a single pass of the
-// event stream, sequentially by default or sharded across Options.Parallel
-// engine workers — with byte-identical reports either way. Options.Tools is
+// memcheck, view-consistency) all run over a single pass of the event
+// stream, each event delivered inline to every tool. Options.Tools is
 // the one tool selector: build it from the detector packages' Spec
 // constructors, or from a name list with ParseTools (ToolFactory for one
 // registry per session). Left empty, it runs the lock-set detector alone,
@@ -45,7 +44,7 @@ import (
 // Options configures a checking run.
 type Options struct {
 	// Tools is the full tool registry for the run: every listed tool runs
-	// concurrently over one pass of the event stream (see trace.ToolSpec and
+	// over one pass of the event stream (see trace.ToolSpec and
 	// the Spec constructors in the detector packages; ParseTools builds it
 	// from a name list). When Tools is empty the registry is the lock-set
 	// detector alone, configured by Lockset.
@@ -67,13 +66,6 @@ type Options struct {
 	Quantum int
 	// MaxSteps bounds the run.
 	MaxSteps int64
-	// Parallel > 1 runs the registered tools sharded across that many
-	// workers of the analysis engine (internal/engine), consuming the VM
-	// event stream live: block-routed tools get an instance per shard,
-	// broadcast and single-shard tools run as pinned instances inside the
-	// engine. The merged report is byte-identical to the sequential
-	// single-pass result.
-	Parallel int
 }
 
 // OptionsOriginal mirrors the paper's first experimental configuration.
@@ -174,23 +166,15 @@ type Result struct {
 	// Steps is the number of guest operations executed.
 	Steps int64
 	// Summaries holds the per-tool end-of-run counter rollups of every
-	// registered tool implementing trace.Summarizer, keyed by tool report
-	// name. Unlike the *Detector fields below, the summaries are
-	// shard-count-independent: under Parallel > 1 the engine sums the
-	// counters of all shard instances, so e.g. memcheck's error and leak
-	// totals are identical between sequential and parallel runs.
+	// registered tool implementing trace.Summarizer (e.g. memcheck's error
+	// and leak totals), keyed by tool report name.
 	Summaries map[string]trace.ToolSummary
-	// LocksetDetector is set when exactly one lock-set detector instance ran
-	// (for its dynamic counters). It is nil under Parallel > 1, where the
-	// detector exists once per engine shard.
+	// LocksetDetector is the first registered lock-set detector, for its
+	// dynamic counters.
 	LocksetDetector *lockset.Detector
-	// DeadlockDetector is set when the lock-order tool ran (it is a pinned
-	// single instance even under Parallel > 1).
+	// DeadlockDetector is set when the lock-order tool ran.
 	DeadlockDetector *deadlock.Detector
-	// MemcheckDetector is set when memcheck ran sequentially. It is nil
-	// under Parallel > 1, where memcheck is sharded per block; use
-	// Summaries["memcheck"] for the error and leak totals, which survive
-	// sharding.
+	// MemcheckDetector is set when memcheck ran.
 	MemcheckDetector *memcheck.Detector
 	// HighLevelDetector is set when the view-consistency checker ran.
 	HighLevelDetector *highlevel.Detector
@@ -223,14 +207,7 @@ func Run(opt Options, body func(*vm.Thread)) (*Result, error) {
 	}
 	res := &Result{VM: machine}
 
-	// Both paths run the same registry over one pass of the stream; the only
-	// difference is whether events fan out to shard workers or are delivered
-	// inline. Reports are byte-identical between the two.
-	eopt := engine.Options{Tools: specs, Resolver: machine, Suppressor: sup}
-	if opt.Parallel > 1 {
-		eopt.Shards = opt.Parallel
-	}
-	pipe, err := engine.NewPipeline(eopt)
+	pipe, err := engine.NewPipeline(engine.Options{Tools: specs, Resolver: machine, Suppressor: sup})
 	if err != nil {
 		return nil, fmt.Errorf("core: engine: %w", err)
 	}
@@ -244,15 +221,9 @@ func Run(opt Options, body func(*vm.Thread)) (*Result, error) {
 	}
 	res.Collector = merged
 	res.Summaries = pipe.Summaries()
-	// Surface the concrete detector instances for their dynamic counters —
-	// only where exactly one instance exists (sharded tools have one per
-	// worker under Parallel > 1).
+	// Surface the concrete detector instances for their dynamic counters.
 	for _, spec := range specs {
-		insts := pipe.Tool(spec.Name)
-		if len(insts) != 1 {
-			continue
-		}
-		switch det := insts[0].(type) {
+		switch det := pipe.Tool(spec.Name).(type) {
 		case *lockset.Detector:
 			if res.LocksetDetector == nil {
 				res.LocksetDetector = det

@@ -274,9 +274,8 @@ func TestRunHighLevelDetector(t *testing.T) {
 	}
 }
 
-// abbaProgram mixes lock-order inversion (aux deadlock tool, sequential
-// path) with unlocked counter races (race detector, engine path under
-// Parallel), to exercise the merged report.
+// abbaProgram mixes lock-order inversion (the deadlock tool) with unlocked
+// counter races (the race detectors), to exercise the merged report.
 func abbaProgram(main *vm.Thread) {
 	v := main.VM()
 	m1, m2 := v.NewMutex("A"), v.NewMutex("B")
@@ -301,25 +300,4 @@ func abbaProgram(main *vm.Thread) {
 	main.Join(a)
 	main.Join(c)
 	b.Store32(main, 0, 0)
-}
-
-func TestRunParallelMatchesSequential(t *testing.T) {
-	for _, detector := range []string{"lockset", "djit", "hybrid"} {
-		opt := withTools(t, Options{Seed: 5}, detector+",deadlock,memcheck")
-		seq, err := Run(opt, abbaProgram)
-		if err != nil || seq.Err != nil {
-			t.Fatalf("%s sequential: %v / %v", detector, err, seq.Err)
-		}
-		opt.Parallel = 4
-		par, err := Run(opt, abbaProgram)
-		if err != nil || par.Err != nil {
-			t.Fatalf("%s parallel: %v / %v", detector, err, par.Err)
-		}
-		if par.Locations() != seq.Locations() {
-			t.Errorf("%s: parallel locations = %d, sequential = %d", detector, par.Locations(), seq.Locations())
-		}
-		if got, want := par.Report(), seq.Report(); got != want {
-			t.Errorf("%s: parallel report differs\n--- sequential ---\n%s\n--- parallel ---\n%s", detector, want, got)
-		}
-	}
 }

@@ -43,42 +43,29 @@ var wantMemcheckSummary = trace.ToolSummary{
 	"leaked-bytes":  48,
 }
 
-// TestMemcheckSummaryParallel is the regression test for the parallel-mode
-// memcheck summary: Result.MemcheckDetector is nil whenever Parallel > 1
-// (memcheck is sharded per block), and before Result.Summaries existed the
-// end-of-run error/leak summary was silently lost. The summary must now be
-// identical for every shard count.
-func TestMemcheckSummaryParallel(t *testing.T) {
-	for _, parallel := range []int{0, 1, 2, 4, 8} {
-		res, err := Run(withTools(t, Options{Parallel: parallel, Seed: 1}, "lockset,memcheck"), summaryGuest)
-		if err != nil {
-			t.Fatalf("parallel=%d: %v", parallel, err)
-		}
-		if res.Err != nil {
-			t.Fatalf("parallel=%d: guest: %v", parallel, res.Err)
-		}
-		got := res.Summaries["memcheck"]
-		if !reflect.DeepEqual(got, wantMemcheckSummary) {
-			t.Errorf("parallel=%d: memcheck summary = %v, want %v", parallel, got, wantMemcheckSummary)
-		}
-		if parallel > 1 {
-			if res.MemcheckDetector != nil {
-				t.Errorf("parallel=%d: MemcheckDetector = %v, want nil (sharded)", parallel, res.MemcheckDetector)
-			}
-			continue
-		}
-		// Sequentially the single instance is also reachable directly and
-		// must agree with its own summary.
-		d := res.MemcheckDetector
-		if d == nil {
-			t.Fatalf("parallel=%d: MemcheckDetector nil", parallel)
-		}
-		if d.Errors() != 3 {
-			t.Errorf("parallel=%d: Errors = %d, want 3", parallel, d.Errors())
-		}
-		if blocks, bytes := d.Leaks(); blocks != 3 || bytes != 48 {
-			t.Errorf("parallel=%d: Leaks = (%d, %d), want (3, 48)", parallel, blocks, bytes)
-		}
+// TestMemcheckSummary pins memcheck's end-of-run error/leak summary in
+// Result.Summaries, and its agreement with the detector instance's own
+// counters.
+func TestMemcheckSummary(t *testing.T) {
+	res, err := Run(withTools(t, Options{Seed: 1}, "lockset,memcheck"), summaryGuest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Err != nil {
+		t.Fatalf("guest: %v", res.Err)
+	}
+	if got := res.Summaries["memcheck"]; !reflect.DeepEqual(got, wantMemcheckSummary) {
+		t.Errorf("memcheck summary = %v, want %v", got, wantMemcheckSummary)
+	}
+	d := res.MemcheckDetector
+	if d == nil {
+		t.Fatal("MemcheckDetector nil")
+	}
+	if d.Errors() != 3 {
+		t.Errorf("Errors = %d, want 3", d.Errors())
+	}
+	if blocks, bytes := d.Leaks(); blocks != 3 || bytes != 48 {
+		t.Errorf("Leaks = (%d, %d), want (3, 48)", blocks, bytes)
 	}
 }
 
@@ -90,17 +77,14 @@ func TestSummariesAllTools(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, parallel := range []int{1, 4} {
-		res, err := Run(Options{Tools: tools, Parallel: parallel, Seed: 1}, summaryGuest)
-		if err != nil {
-			t.Fatalf("parallel=%d: %v", parallel, err)
-		}
-		got := res.Summaries["memcheck"]
-		if !reflect.DeepEqual(got, wantMemcheckSummary) {
-			t.Errorf("parallel=%d: memcheck summary = %v, want %v", parallel, got, wantMemcheckSummary)
-		}
-		if _, ok := res.Summaries["helgrind-deadlock"]; ok {
-			t.Errorf("parallel=%d: deadlock tool unexpectedly has a summary", parallel)
-		}
+	res, err := Run(Options{Tools: tools, Seed: 1}, summaryGuest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Summaries["memcheck"]; !reflect.DeepEqual(got, wantMemcheckSummary) {
+		t.Errorf("memcheck summary = %v, want %v", got, wantMemcheckSummary)
+	}
+	if _, ok := res.Summaries["helgrind-deadlock"]; ok {
+		t.Error("deadlock tool unexpectedly has a summary")
 	}
 }

@@ -43,9 +43,8 @@ type Detector struct {
 
 // Spec registers the detector with the analysis engine's tool registry. The
 // lock-order tool warns from broadcast events (acquire/contended) and keeps
-// a single global lock-order graph, so it runs as one instance consuming the
-// broadcast substream — which any one shard observes in full — and needs no
-// block-carrying events at all.
+// a single global lock-order graph; it needs no block-carrying events at
+// all.
 func Spec(cfg Config) trace.ToolSpec {
 	if cfg.Tool == "" {
 		cfg.Tool = "helgrind-deadlock"

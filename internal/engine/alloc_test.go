@@ -10,8 +10,8 @@ import (
 	"repro/internal/trace"
 )
 
-// nopTool ignores every event — dispatch overhead with zero analysis cost,
-// isolating the engine's own allocation behaviour.
+// nopTool ignores every event — delivery overhead with zero analysis cost,
+// isolating the pipeline's own allocation behaviour.
 type nopTool struct{ trace.BaseSink }
 
 func nopSpecs() []trace.ToolSpec {
@@ -21,15 +21,12 @@ func nopSpecs() []trace.ToolSpec {
 	}
 }
 
-// TestZeroAllocDispatch pins the tentpole claim for the dispatch side: once
-// the batch pool and edge arenas are warmed, pushing a full event stream
-// through the pipeline — batching, routing, channel handoff, worker delivery
-// — allocates nothing, sequential and sharded alike. GC is disabled during
-// the measurement so it cannot drain the sync.Pool mid-run (AllocsPerRun
-// already pins GOMAXPROCS to 1, putting workers and dispatcher on one P).
+// TestZeroAllocDispatch pins the dispatch side: pushing a full event stream
+// through the pipeline — sequence stamping, SafeSink, delivery to every
+// tool — allocates nothing.
 func TestZeroAllocDispatch(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race detector makes sync.Pool drop items at random; budget enforced by the non-race CI step")
+		t.Skip("race instrumentation perturbs allocation counts; budget enforced by the non-race CI step")
 	}
 	s := scenario.Generate(scenario.GenConfig{Seed: 3})
 	_, log, err := scenario.Record(s, true, 1)
@@ -39,31 +36,23 @@ func TestZeroAllocDispatch(t *testing.T) {
 	events := decodeEvents(t, log)
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for _, shards := range []int{1, 4} {
-		// Small batches and a shallow queue so the pool reaches steady state
-		// (every circulating batch allocated, arenas at full size) within the
-		// warm-up passes; the default 512×8 shape needs hundreds of passes of
-		// this stream before its last batch is pooled.
-		pipe, err := engine.NewPipeline(engine.Options{Tools: nopSpecs(), Shards: shards, BatchSize: 32, QueueDepth: 2})
-		if err != nil {
-			t.Fatal(err)
+	pipe, err := engine.NewSequential(engine.Options{Tools: nopSpecs()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	push := func() {
+		for i := range events {
+			events[i].Deliver(pipe)
 		}
-		push := func() {
-			for i := range events {
-				events[i].Deliver(pipe)
-			}
-		}
-		for i := 0; i < 30; i++ { // warm: grow batch pool and per-batch edge arenas
-			push()
-		}
-		allocs := testing.AllocsPerRun(10, push)
-		if perEvent := allocs / float64(len(events)); perEvent != 0 {
-			t.Errorf("shards=%d: %.4f allocs/event (%.1f allocs per %d-event pass), want 0",
-				shards, perEvent, allocs, len(events))
-		}
-		if _, err := pipe.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	push() // warm
+	allocs := testing.AllocsPerRun(10, push)
+	if perEvent := allocs / float64(len(events)); perEvent != 0 {
+		t.Errorf("%.4f allocs/event (%.1f allocs per %d-event pass), want 0",
+			perEvent, allocs, len(events))
+	}
+	if _, err := pipe.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -72,10 +61,10 @@ func TestZeroAllocDispatch(t *testing.T) {
 // deadlock, memcheck, high-level — run end to end over a recorded stream,
 // including pipeline construction, detector state growth, end-of-stream
 // passes and the merged report. The dense-index/slab/epoch state layout keeps
-// the whole run at ≤ 1 allocation per event, sequential and 4-shard alike
-// (the steady-state figure is far lower; see the BENCH files — this test pins
-// the budget that the CI bench-regression gate also enforces, with the fixed
-// costs of a fresh pipeline amortised over only one small trace).
+// the whole run at ≤ 1 allocation per event (the steady-state figure is far
+// lower; see the BENCH files — this test pins the budget that the CI
+// bench-regression gate also enforces, with the fixed costs of a fresh
+// pipeline amortised over only one small trace).
 func TestZeroAllocDetectorPath(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments every access; budget enforced by the non-race CI step")
@@ -91,24 +80,22 @@ func TestZeroAllocDetectorPath(t *testing.T) {
 	events := decodeEvents(t, log)
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for _, shards := range []int{1, 4} {
-		run := func() {
-			pipe, err := engine.NewPipeline(engine.Options{Tools: scenario.AllTools(), Shards: shards, BatchSize: 32, QueueDepth: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range events {
-				events[i].Deliver(pipe)
-			}
-			if _, err := pipe.Close(); err != nil {
-				t.Fatal(err)
-			}
+	run := func() {
+		pipe, err := engine.NewSequential(engine.Options{Tools: scenario.AllTools()})
+		if err != nil {
+			t.Fatal(err)
 		}
-		run() // warm shared state (interned strings, pooled buffers)
-		allocs := testing.AllocsPerRun(5, run)
-		if perEvent := allocs / float64(len(events)); perEvent > 1.0 {
-			t.Errorf("shards=%d: %.3f allocs/event (%.0f allocs per %d-event run), budget 1.0",
-				shards, perEvent, allocs, len(events))
+		for i := range events {
+			events[i].Deliver(pipe)
 		}
+		if _, err := pipe.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm shared state (interned strings, pooled buffers)
+	allocs := testing.AllocsPerRun(5, run)
+	if perEvent := allocs / float64(len(events)); perEvent > 1.0 {
+		t.Errorf("%.3f allocs/event (%.0f allocs per %d-event run), budget 1.0",
+			perEvent, allocs, len(events))
 	}
 }

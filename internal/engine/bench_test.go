@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"repro/internal/engine"
@@ -16,8 +15,7 @@ import (
 // of events directly through the Recorder (no VM in the loop): T threads
 // performing lock-protected transactions of 16 accesses spread over many
 // blocks. The access/synchronisation mix (~11% broadcast events) is what a
-// server workload with modest critical sections looks like, and the block
-// fan-out gives the shard hash something to distribute.
+// server workload with modest critical sections looks like.
 func buildSyntheticTrace(tb testing.TB, minEvents int64) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -64,22 +62,25 @@ func buildSyntheticTrace(tb testing.TB, minEvents int64) []byte {
 	return buf.Bytes()
 }
 
-// BenchmarkParallelReplay compares sequential tracelog.Replay against the
-// sharded engine on a >1M-event synthetic trace with the full HWLC+DR
-// detector. The headline number is ns/event; the target is >1.5x at 4
-// workers over sequential.
-//
-// The comparison is only meaningful with GOMAXPROCS >= shards: on a
-// single-CPU host the workers merely time-slice one core, so the benchmark
-// degenerates to measuring the engine's dispatch overhead (sequential wins
-// there by construction — sharding adds work, parallel hardware pays it
-// back). See BenchmarkPipelineOverhead for the overhead decomposition.
-func BenchmarkParallelReplay(b *testing.B) {
+// BenchmarkReplay decomposes replay cost on a >1M-event synthetic trace with
+// the full HWLC+DR configuration: decode alone, decode into the detector
+// directly, and the same detector behind the pipeline. The headline number
+// is ns/event; the last gap is the pipeline's own per-event cost (sequence
+// stamping, SafeSink, delivery loop).
+func BenchmarkReplay(b *testing.B) {
 	const events = 1_200_000
 	log := buildSyntheticTrace(b, events)
 	cfg := lockset.ConfigHWLCDR()
 
-	b.Run("sequential", func(b *testing.B) {
+	b.Run("decode-only", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := tracelog.Replay(bytes.NewReader(log), trace.BaseSink{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/events, "ns/event")
+	})
+	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			col := report.NewCollector(nil, nil)
 			if _, err := tracelog.Replay(bytes.NewReader(log), lockset.New(cfg, col)); err != nil {
@@ -88,21 +89,19 @@ func BenchmarkParallelReplay(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/events, "ns/event")
 	})
-	for _, shards := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("parallel-%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng, err := engine.New(engine.Options{Shards: shards, Tools: []trace.ToolSpec{lockset.Spec(cfg)}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.ReplayLog(bytes.NewReader(log)); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.Close(); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("pipeline", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pipe, err := engine.NewSequential(engine.Options{Tools: []trace.ToolSpec{lockset.Spec(cfg)}})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/events, "ns/event")
-		})
-	}
+			if _, err := pipe.ReplayLog(bytes.NewReader(log)); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := pipe.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/events, "ns/event")
+	})
 }

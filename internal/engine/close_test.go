@@ -76,98 +76,91 @@ func midEventCut(t testing.TB, log []byte, around int) []byte {
 	return nil
 }
 
-// TestCloseIdempotent pins the double-Close contract on both pipeline
-// implementations: the second Close returns exactly the first call's
-// collector and error, and dispatching after Close is a no-op.
+// TestCloseIdempotent pins the double-Close contract: the second Close
+// returns exactly the first call's collector and error, and dispatching after
+// Close is a no-op.
 func TestCloseIdempotent(t *testing.T) {
 	log, v := recordSmall(t)
-	for _, shards := range []int{1, 4} {
-		pipe, err := engine.NewPipeline(engine.Options{Tools: closeTools(), Resolver: v, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pipe.ReplayLog(bytes.NewReader(log)); err != nil {
-			t.Fatalf("shards=%d: replay: %v", shards, err)
-		}
-		col1, err1 := pipe.Close()
-		if err1 != nil {
-			t.Fatalf("shards=%d: close: %v", shards, err1)
-		}
-		if col1 == nil || col1.Locations() == 0 {
-			t.Fatalf("shards=%d: expected warnings from the racy guest", shards)
-		}
-		col2, err2 := pipe.Close()
-		if col2 != col1 || err2 != err1 {
-			t.Errorf("shards=%d: second Close = (%p, %v), want (%p, %v)", shards, col2, err2, col1, err1)
-		}
-		before := pipe.Events()
-		pipe.ThreadStart(99, 1) // dispatch after Close must be dropped
-		if pipe.Events() != before {
-			t.Errorf("shards=%d: dispatch after Close counted an event", shards)
-		}
-		col3, err3 := pipe.Close()
-		if col3 != col1 || err3 != err1 {
-			t.Errorf("shards=%d: third Close unstable", shards)
-		}
+	pipe, err := engine.NewSequential(engine.Options{Tools: closeTools(), Resolver: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pipe.ReplayLog(bytes.NewReader(log)); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	col1, err1 := pipe.Close()
+	if err1 != nil {
+		t.Fatalf("close: %v", err1)
+	}
+	if col1 == nil || col1.Locations() == 0 {
+		t.Fatal("expected warnings from the racy guest")
+	}
+	col2, err2 := pipe.Close()
+	if col2 != col1 || err2 != err1 {
+		t.Errorf("second Close = (%p, %v), want (%p, %v)", col2, err2, col1, err1)
+	}
+	before := pipe.Events()
+	pipe.ThreadStart(99, 1) // dispatch after Close must be dropped
+	if pipe.Events() != before {
+		t.Error("dispatch after Close counted an event")
+	}
+	col3, err3 := pipe.Close()
+	if col3 != col1 || err3 != err1 {
+		t.Error("third Close unstable")
 	}
 }
 
 // TestCloseAfterStreamError pins the mid-stream failure contract: a replay
 // that fails after partial dispatch (truncated log) must make Close return a
-// stable error and a nil collector — never a partial merged report — on both
-// pipeline implementations.
+// stable error and a nil collector — never a partial merged report.
 func TestCloseAfterStreamError(t *testing.T) {
 	log, v := recordSmall(t)
 	// Cut mid-log: enough bytes for many whole events plus one torn one.
 	cut := midEventCut(t, log, len(log)/2)
-	for _, shards := range []int{1, 4} {
-		pipe, err := engine.NewPipeline(engine.Options{Tools: closeTools(), Resolver: v, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, rerr := pipe.ReplayLog(bytes.NewReader(cut))
-		if rerr == nil {
-			t.Fatalf("shards=%d: truncated replay succeeded", shards)
-		}
-		if n == 0 {
-			t.Fatalf("shards=%d: expected partial dispatch before the failure", shards)
-		}
-		col1, err1 := pipe.Close()
-		if col1 != nil {
-			t.Errorf("shards=%d: Close after stream error returned a partial report (%d locations)", shards, col1.Locations())
-		}
-		if err1 == nil || !strings.Contains(err1.Error(), "stream failed") {
-			t.Errorf("shards=%d: Close error = %v, want stream-failure error", shards, err1)
-		}
-		if !errors.Is(err1, rerr) && !strings.Contains(err1.Error(), rerr.Error()) {
-			t.Errorf("shards=%d: Close error %v does not wrap replay error %v", shards, err1, rerr)
-		}
-		col2, err2 := pipe.Close()
-		if col2 != nil || err2 != err1 {
-			t.Errorf("shards=%d: second Close after failure = (%v, %v), want (nil, %v)", shards, col2, err2, err1)
-		}
-		if sums := pipe.Summaries(); len(sums) != 0 {
-			// A failed stream has no report surface at all; summaries of a
-			// prefix would be as misleading as a partial merged report.
-			t.Errorf("shards=%d: Summaries after stream error = %v, want empty", shards, sums)
-		}
+	pipe, err := engine.NewSequential(engine.Options{Tools: closeTools(), Resolver: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, rerr := pipe.ReplayLog(bytes.NewReader(cut))
+	if rerr == nil {
+		t.Fatal("truncated replay succeeded")
+	}
+	if n == 0 {
+		t.Fatal("expected partial dispatch before the failure")
+	}
+	col1, err1 := pipe.Close()
+	if col1 != nil {
+		t.Errorf("Close after stream error returned a partial report (%d locations)", col1.Locations())
+	}
+	if err1 == nil || !strings.Contains(err1.Error(), "stream failed") {
+		t.Errorf("Close error = %v, want stream-failure error", err1)
+	}
+	if !errors.Is(err1, rerr) && !strings.Contains(err1.Error(), rerr.Error()) {
+		t.Errorf("Close error %v does not wrap replay error %v", err1, rerr)
+	}
+	col2, err2 := pipe.Close()
+	if col2 != nil || err2 != err1 {
+		t.Errorf("second Close after failure = (%v, %v), want (nil, %v)", col2, err2, err1)
+	}
+	if sums := pipe.Summaries(); len(sums) != 0 {
+		// A failed stream has no report surface at all; summaries of a
+		// prefix would be as misleading as a partial merged report.
+		t.Errorf("Summaries after stream error = %v, want empty", sums)
 	}
 }
 
 // TestTruncatedLogErrUnexpectedEOF pins that a log truncated mid-event fails
-// with io.ErrUnexpectedEOF, not a clean EOF, through both replay paths.
+// with io.ErrUnexpectedEOF, not a clean EOF.
 func TestTruncatedLogErrUnexpectedEOF(t *testing.T) {
 	log, v := recordSmall(t)
 	cut := midEventCut(t, log, len(log)-1)
-	for _, shards := range []int{1, 4} {
-		pipe, err := engine.NewPipeline(engine.Options{Tools: closeTools(), Resolver: v, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, rerr := pipe.ReplayLog(bytes.NewReader(cut))
-		pipe.Close()
-		if !errors.Is(rerr, io.ErrUnexpectedEOF) {
-			t.Errorf("shards=%d: replay error = %v, want io.ErrUnexpectedEOF", shards, rerr)
-		}
+	pipe, err := engine.NewSequential(engine.Options{Tools: closeTools(), Resolver: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rerr := pipe.ReplayLog(bytes.NewReader(cut))
+	pipe.Close()
+	if !errors.Is(rerr, io.ErrUnexpectedEOF) {
+		t.Errorf("replay error = %v, want io.ErrUnexpectedEOF", rerr)
 	}
 }

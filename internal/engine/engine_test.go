@@ -3,6 +3,7 @@ package engine_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/cppmodel"
@@ -59,9 +60,9 @@ func paperConfigs() map[string]lockset.Config {
 	}
 }
 
-// TestEngineMatchesSequentialReplay is the determinism contract: for a fixed
-// recorded trace, the engine's merged output with 1, 4 and 8 shards is
-// byte-identical to sequential tracelog.Replay output — same warnings, same
+// TestEngineMatchesSequentialReplay is the pipeline's determinism contract:
+// for a fixed recorded trace, the pipeline's merged output is byte-identical
+// to feeding the detector directly with tracelog.Replay — same warnings, same
 // order, same counts — under all three paper configurations.
 func TestEngineMatchesSequentialReplay(t *testing.T) {
 	log, v := recordSIP(t)
@@ -76,41 +77,37 @@ func TestEngineMatchesSequentialReplay(t *testing.T) {
 		if seqCol.Locations() == 0 {
 			t.Fatalf("%s: sequential replay found no warnings; test workload is broken", name)
 		}
-		for _, shards := range []int{1, 4, 8} {
-			eng, err := engine.New(engine.Options{
-				Shards:   shards,
-				Tools:    []trace.ToolSpec{lockset.Spec(cfg)},
-				Resolver: v,
-			})
-			if err != nil {
-				t.Fatalf("%s/%d: New: %v", name, shards, err)
-			}
-			events, err := eng.ReplayLog(bytes.NewReader(log))
-			if err != nil {
-				t.Fatalf("%s/%d: ReplayLog: %v", name, shards, err)
-			}
-			if events != seqEvents {
-				t.Errorf("%s/%d: dispatched %d events, sequential saw %d", name, shards, events, seqEvents)
-			}
-			merged, err := eng.Close()
-			if err != nil {
-				t.Fatalf("%s/%d: Close: %v", name, shards, err)
-			}
-			if got := merged.Format(); got != want {
-				t.Errorf("%s/%d shards: merged output differs from sequential replay\n--- sequential ---\n%s\n--- merged ---\n%s",
-					name, shards, want, got)
-			}
-			if merged.Locations() != seqCol.Locations() || merged.Occurrences() != seqCol.Occurrences() {
-				t.Errorf("%s/%d: locations/occurrences = %d/%d, sequential = %d/%d",
-					name, shards, merged.Locations(), merged.Occurrences(), seqCol.Locations(), seqCol.Occurrences())
-			}
+		pipe, err := engine.NewSequential(engine.Options{
+			Tools:    []trace.ToolSpec{lockset.Spec(cfg)},
+			Resolver: v,
+		})
+		if err != nil {
+			t.Fatalf("%s: NewSequential: %v", name, err)
+		}
+		events, err := pipe.ReplayLog(bytes.NewReader(log))
+		if err != nil {
+			t.Fatalf("%s: ReplayLog: %v", name, err)
+		}
+		if events != seqEvents {
+			t.Errorf("%s: dispatched %d events, direct replay saw %d", name, events, seqEvents)
+		}
+		merged, err := pipe.Close()
+		if err != nil {
+			t.Fatalf("%s: Close: %v", name, err)
+		}
+		if got := merged.Format(); got != want {
+			t.Errorf("%s: merged output differs from direct replay\n--- direct ---\n%s\n--- merged ---\n%s",
+				name, want, got)
+		}
+		if merged.Locations() != seqCol.Locations() || merged.Occurrences() != seqCol.Occurrences() {
+			t.Errorf("%s: locations/occurrences = %d/%d, direct = %d/%d",
+				name, merged.Locations(), merged.Occurrences(), seqCol.Locations(), seqCol.Occurrences())
 		}
 	}
 }
 
 // TestEngineMatchesSequentialDJIT runs the same determinism check with the
-// happens-before detector, whose clocks are driven purely by broadcast
-// events.
+// happens-before detector.
 func TestEngineMatchesSequentialDJIT(t *testing.T) {
 	log, v := recordSIP(t)
 	cfg := vectorclock.DefaultConfig()
@@ -119,26 +116,24 @@ func TestEngineMatchesSequentialDJIT(t *testing.T) {
 		t.Fatalf("sequential replay: %v", err)
 	}
 	want := seqCol.Format()
-	for _, shards := range []int{1, 4, 8} {
-		eng, err := engine.New(engine.Options{Shards: shards, Tools: []trace.ToolSpec{vectorclock.Spec(cfg)}, Resolver: v})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		if _, err := eng.ReplayLog(bytes.NewReader(log)); err != nil {
-			t.Fatalf("ReplayLog: %v", err)
-		}
-		merged, err := eng.Close()
-		if err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		if got := merged.Format(); got != want {
-			t.Errorf("djit/%d shards: merged output differs from sequential", shards)
-		}
+	pipe, err := engine.NewSequential(engine.Options{Tools: []trace.ToolSpec{vectorclock.Spec(cfg)}, Resolver: v})
+	if err != nil {
+		t.Fatalf("NewSequential: %v", err)
+	}
+	if _, err := pipe.ReplayLog(bytes.NewReader(log)); err != nil {
+		t.Fatalf("ReplayLog: %v", err)
+	}
+	merged, err := pipe.Close()
+	if err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got := merged.Format(); got != want {
+		t.Error("djit: merged output differs from direct replay")
 	}
 }
 
-// TestEngineSuppressions checks that per-shard suppression matches the
-// sequential collector, including the suppressed-occurrence count in the
+// TestEngineSuppressions checks that per-tool suppression matches a direct
+// collector, including the suppressed-occurrence count in the
 // report trailer.
 func TestEngineSuppressions(t *testing.T) {
 	log, v := recordSIP(t)
@@ -159,26 +154,26 @@ func TestEngineSuppressions(t *testing.T) {
 	if _, err := tracelog.Replay(bytes.NewReader(log), lockset.New(cfg, seqCol)); err != nil {
 		t.Fatalf("sequential replay: %v", err)
 	}
-	eng, err := engine.New(engine.Options{Shards: 4, Tools: []trace.ToolSpec{lockset.Spec(cfg)}, Resolver: v, Suppressor: sup})
+	pipe, err := engine.NewSequential(engine.Options{Tools: []trace.ToolSpec{lockset.Spec(cfg)}, Resolver: v, Suppressor: sup})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewSequential: %v", err)
 	}
-	if _, err := eng.ReplayLog(bytes.NewReader(log)); err != nil {
+	if _, err := pipe.ReplayLog(bytes.NewReader(log)); err != nil {
 		t.Fatalf("ReplayLog: %v", err)
 	}
-	merged, err := eng.Close()
+	merged, err := pipe.Close()
 	if err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	if got, want := merged.Format(), seqCol.Format(); got != want {
-		t.Errorf("suppressed merged output differs from sequential\n--- sequential ---\n%s\n--- merged ---\n%s", want, got)
+		t.Errorf("suppressed merged output differs from direct replay\n--- direct ---\n%s\n--- merged ---\n%s", want, got)
 	}
 	if seqCol.SuppressedSites() == 0 {
 		t.Error("suppression rule matched nothing; test is vacuous")
 	}
 }
 
-// TestEngineLiveStream attaches the engine directly to a running VM (no log
+// TestEngineLiveStream attaches the pipeline directly to a running VM (no log
 // in between) and compares against the classic online detector.
 func TestEngineLiveStream(t *testing.T) {
 	workload := func(main *vm.Thread) {
@@ -215,15 +210,15 @@ func TestEngineLiveStream(t *testing.T) {
 	}
 
 	vLive := vm.New(vm.Options{Seed: 7})
-	eng, err := engine.New(engine.Options{Shards: 4, Tools: []trace.ToolSpec{lockset.Spec(cfg)}, Resolver: vLive})
+	pipe, err := engine.NewSequential(engine.Options{Tools: []trace.ToolSpec{lockset.Spec(cfg)}, Resolver: vLive})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewSequential: %v", err)
 	}
-	vLive.AddTool(eng)
+	vLive.AddTool(pipe)
 	if err := vLive.Run(workload); err != nil {
 		t.Fatalf("live run: %v", err)
 	}
-	merged, err := eng.Close()
+	merged, err := pipe.Close()
 	if err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -231,7 +226,7 @@ func TestEngineLiveStream(t *testing.T) {
 		t.Fatal("online detector found nothing; workload is broken")
 	}
 	if got, want := merged.Format(), colOnline.Format(); got != want {
-		t.Errorf("live engine output differs from online detector\n--- online ---\n%s\n--- engine ---\n%s", want, got)
+		t.Errorf("live pipeline output differs from online detector\n--- online ---\n%s\n--- pipeline ---\n%s", want, got)
 	}
 }
 
@@ -251,8 +246,8 @@ func (p *panicSink) Access(a *trace.Access) {
 	p.col.Add(report.Warning{Tool: "panicky", Kind: report.KindRace, Block: a.Block, Stack: a.Stack})
 }
 
-// TestEnginePanicIsolation: a detector panicking in one shard must not kill
-// the replay; the other shards' findings survive and Close reports the
+// TestEnginePanicIsolation: a detector panicking mid-stream must not kill
+// the replay; its findings up to the panic survive and Close reports the
 // panic as an error.
 func TestEnginePanicIsolation(t *testing.T) {
 	var buf bytes.Buffer
@@ -267,45 +262,64 @@ func TestEnginePanicIsolation(t *testing.T) {
 	rec.Flush()
 
 	const poison = trace.BlockID(3)
-	eng, err := engine.New(engine.Options{
-		Shards: 4,
+	pipe, err := engine.NewSequential(engine.Options{
 		Tools: []trace.ToolSpec{{Name: "panicky", Routing: trace.RouteBlock, Factory: func(col trace.Reporter) trace.Sink {
 			return &panicSink{col: col, poison: poison}
 		}}},
 	})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewSequential: %v", err)
 	}
-	if _, err := eng.ReplayLog(bytes.NewReader(buf.Bytes())); err != nil {
+	n, err := pipe.ReplayLog(bytes.NewReader(buf.Bytes()))
+	if err != nil {
 		t.Fatalf("ReplayLog should survive a panicking tool, got: %v", err)
 	}
-	merged, err := eng.Close()
+	if n != 2*nBlocks {
+		t.Errorf("replayed %d events, want all %d", n, 2*nBlocks)
+	}
+	merged, err := pipe.Close()
 	if err == nil {
 		t.Fatal("Close must report the tool panic")
 	}
-	// Every block outside the poisoned shard must still have been analysed.
-	poisonShard := trace.Shard(poison, 4)
-	want := 0
-	for b := trace.BlockID(1); b <= nBlocks; b++ {
-		if trace.Shard(b, 4) != poisonShard {
-			want++
-		}
-	}
-	if merged.Locations() < want {
-		t.Errorf("merged has %d sites, want at least %d from healthy shards", merged.Locations(), want)
+	// Every block accessed before the poisoned one was analysed.
+	if want := int(poison) - 1; merged.Locations() != want {
+		t.Errorf("merged has %d sites, want the %d found before the panic", merged.Locations(), want)
 	}
 }
 
 // TestEngineCloseIdempotent: double Close and post-Close dispatch are safe.
 func TestEngineCloseIdempotent(t *testing.T) {
-	eng, err := engine.New(engine.Options{Shards: 2, Tools: []trace.ToolSpec{lockset.Spec(lockset.ConfigHWLC())}})
+	pipe, err := engine.NewSequential(engine.Options{Tools: []trace.ToolSpec{lockset.Spec(lockset.ConfigHWLC())}})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewSequential: %v", err)
 	}
-	a, errA := eng.Close()
-	b, errB := eng.Close()
+	a, errA := pipe.Close()
+	b, errB := pipe.Close()
 	if a != b || errA != nil || errB != nil {
 		t.Errorf("Close not idempotent: %v %v %v %v", a, b, errA, errB)
 	}
-	eng.Access(&trace.Access{Thread: 1, Block: 1, Size: 4}) // must not panic
+	pipe.Access(&trace.Access{Thread: 1, Block: 1, Size: 4}) // must not panic
+}
+
+// TestNewPipelineIgnoresShards pins the deprecated Options.Shards as inert:
+// whatever it says, NewPipeline returns the inline Sequential and starts no
+// goroutines.
+func TestNewPipelineIgnoresShards(t *testing.T) {
+	before := runtime.NumGoroutine()
+	pipe, err := engine.NewPipeline(engine.Options{
+		Shards: 8,
+		Tools:  []trace.ToolSpec{lockset.Spec(lockset.ConfigHWLC())},
+	})
+	if err != nil {
+		t.Fatalf("NewPipeline: %v", err)
+	}
+	if _, ok := pipe.(*engine.Sequential); !ok {
+		t.Errorf("NewPipeline(Shards: 8) = %T, want *engine.Sequential", pipe)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("NewPipeline(Shards: 8) changed the goroutine count from %d to %d", before, after)
+	}
+	if _, err := pipe.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

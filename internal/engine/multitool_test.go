@@ -32,10 +32,10 @@ func allToolSpecs(cfg lockset.Config) []trace.ToolSpec {
 }
 
 // TestEngineMultiToolMatchesSequential is the registry determinism contract:
-// for a fixed recorded trace, the engine running ALL tools concurrently with
-// 1, 4 and 8 shards produces output byte-identical to the Sequential
-// single-pass pipeline — same warnings, same order, same counts — under all
-// three paper configurations.
+// for a fixed recorded trace, running ALL tools in one pass produces output
+// byte-identical to running each tool in a pipeline of its own and merging
+// the per-tool reports — same warnings, same order, same counts — under all
+// three paper configurations. Sharing one decode changes nothing a tool sees.
 func TestEngineMultiToolMatchesSequential(t *testing.T) {
 	log, v := recordSIP(t)
 	for name, cfg := range paperConfigs() {
@@ -45,13 +45,12 @@ func TestEngineMultiToolMatchesSequential(t *testing.T) {
 		}
 		seqEvents, err := seq.ReplayLog(bytes.NewReader(log))
 		if err != nil {
-			t.Fatalf("%s: sequential replay: %v", name, err)
+			t.Fatalf("%s: one-pass replay: %v", name, err)
 		}
 		seqCol, err := seq.Close()
 		if err != nil {
-			t.Fatalf("%s: sequential close: %v", name, err)
+			t.Fatalf("%s: one-pass close: %v", name, err)
 		}
-		want := seqCol.Format()
 		toolsSeen := map[string]bool{}
 		for _, w := range seqCol.Sites() {
 			toolsSeen[w.Tool] = true
@@ -60,41 +59,39 @@ func TestEngineMultiToolMatchesSequential(t *testing.T) {
 			t.Fatalf("%s: only %d tool(s) warned (%v); multi-tool test workload is too tame",
 				name, len(toolsSeen), toolsSeen)
 		}
-		for _, shards := range []int{1, 4, 8} {
-			eng, err := engine.New(engine.Options{
-				Shards:   shards,
-				Tools:    allToolSpecs(cfg),
-				Resolver: v,
-			})
+		var cols []*report.Collector
+		for _, spec := range allToolSpecs(cfg) {
+			one, err := engine.NewSequential(engine.Options{Tools: []trace.ToolSpec{spec}, Resolver: v})
 			if err != nil {
-				t.Fatalf("%s/%d: New: %v", name, shards, err)
+				t.Fatalf("%s/%s: NewSequential: %v", name, spec.Name, err)
 			}
-			events, err := eng.ReplayLog(bytes.NewReader(log))
+			events, err := one.ReplayLog(bytes.NewReader(log))
 			if err != nil {
-				t.Fatalf("%s/%d: ReplayLog: %v", name, shards, err)
+				t.Fatalf("%s/%s: ReplayLog: %v", name, spec.Name, err)
 			}
 			if events != seqEvents {
-				t.Errorf("%s/%d: dispatched %d events, sequential saw %d", name, shards, events, seqEvents)
+				t.Errorf("%s/%s: dispatched %d events, one-pass saw %d", name, spec.Name, events, seqEvents)
 			}
-			merged, err := eng.Close()
+			col, err := one.Close()
 			if err != nil {
-				t.Fatalf("%s/%d: Close: %v", name, shards, err)
+				t.Fatalf("%s/%s: Close: %v", name, spec.Name, err)
 			}
-			if got := merged.Format(); got != want {
-				t.Errorf("%s/%d shards: multi-tool merged output differs from sequential single pass\n--- sequential ---\n%s\n--- merged ---\n%s",
-					name, shards, want, got)
-			}
-			if merged.Occurrences() != seqCol.Occurrences() {
-				t.Errorf("%s/%d: occurrences = %d, sequential = %d",
-					name, shards, merged.Occurrences(), seqCol.Occurrences())
-			}
+			cols = append(cols, col)
+		}
+		merged := report.Merge(v, nil, cols...)
+		if got, want := merged.Format(), seqCol.Format(); got != want {
+			t.Errorf("%s: merged per-tool output differs from the one-pass run\n--- one pass ---\n%s\n--- merged ---\n%s",
+				name, want, got)
+		}
+		if merged.Occurrences() != seqCol.Occurrences() {
+			t.Errorf("%s: occurrences = %d, one pass = %d", name, merged.Occurrences(), seqCol.Occurrences())
 		}
 	}
 }
 
 // TestEngineLiveMultiToolMatchesOffline attaches the full registry to a live
-// VM (alongside a recorder) and checks that the live sharded run and an
-// offline sequential replay of the recording agree byte for byte.
+// VM (alongside a recorder) and checks that the live run and an offline
+// replay of the recording agree byte for byte.
 func TestEngineLiveMultiToolMatchesOffline(t *testing.T) {
 	workload := func(main *vm.Thread) {
 		v := main.VM()
@@ -139,18 +136,18 @@ func TestEngineLiveMultiToolMatchesOffline(t *testing.T) {
 	rec := tracelog.NewRecorder(&buf)
 	vLive := vm.New(vm.Options{Seed: 3})
 	vLive.AddTool(rec)
-	eng, err := engine.New(engine.Options{Shards: 4, Tools: allToolSpecs(lockset.ConfigHWLCDR()), Resolver: vLive})
+	pipe, err := engine.NewSequential(engine.Options{Tools: allToolSpecs(lockset.ConfigHWLCDR()), Resolver: vLive})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewSequential: %v", err)
 	}
-	vLive.AddTool(eng)
+	vLive.AddTool(pipe)
 	if err := vLive.Run(workload); err != nil {
 		t.Fatalf("live run: %v", err)
 	}
 	if err := rec.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	live, err := eng.Close()
+	live, err := pipe.Close()
 	if err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -171,7 +168,7 @@ func TestEngineLiveMultiToolMatchesOffline(t *testing.T) {
 	}
 	got, want := live.Format(), offline.Format()
 	if got != want {
-		t.Errorf("live sharded output differs from offline sequential replay\n--- offline ---\n%s\n--- live ---\n%s", want, got)
+		t.Errorf("live output differs from offline replay\n--- offline ---\n%s\n--- live ---\n%s", want, got)
 	}
 	for _, tool := range []string{"helgrind", "helgrind-deadlock", "memcheck", "highlevel"} {
 		if !strings.Contains(want, "=="+tool+"==") {
@@ -193,11 +190,10 @@ func (c *countingSink) Access(a *trace.Access) {
 	c.col.Add(report.Warning{Tool: "healthy", Kind: report.KindRace, Block: a.Block, Stack: a.Stack})
 }
 
-// TestEngineSiblingPanicIsolation: a tool panicking on its shard must not
-// take down sibling tools running in the SAME shard — each instance sits
-// behind its own SafeSink. The healthy tool must report every block,
-// including those in the panicking tool's shard, and Close must surface the
-// panic.
+// TestEngineSiblingPanicIsolation: a panicking tool must not take down its
+// sibling tools in the same pipeline — each instance sits behind its own
+// SafeSink. The healthy tool must report every block, including those
+// accessed after the panic, and Close must surface the panic.
 func TestEngineSiblingPanicIsolation(t *testing.T) {
 	var buf bytes.Buffer
 	rec := tracelog.NewRecorder(&buf)
@@ -211,8 +207,7 @@ func TestEngineSiblingPanicIsolation(t *testing.T) {
 	rec.Flush()
 
 	const poison = trace.BlockID(3)
-	eng, err := engine.New(engine.Options{
-		Shards: 4,
+	pipe, err := engine.NewSequential(engine.Options{
 		Tools: []trace.ToolSpec{
 			{Name: "panicky", Routing: trace.RouteBlock, Factory: func(col trace.Reporter) trace.Sink {
 				return &panicSink{col: col, poison: poison}
@@ -223,12 +218,12 @@ func TestEngineSiblingPanicIsolation(t *testing.T) {
 		},
 	})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewSequential: %v", err)
 	}
-	if _, err := eng.ReplayLog(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := pipe.ReplayLog(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("ReplayLog should survive a panicking tool, got: %v", err)
 	}
-	merged, err := eng.Close()
+	merged, err := pipe.Close()
 	if err == nil {
 		t.Fatal("Close must report the tool panic")
 	}
@@ -242,14 +237,14 @@ func TestEngineSiblingPanicIsolation(t *testing.T) {
 		}
 	}
 	if healthy != nBlocks {
-		t.Errorf("healthy sibling reported %d blocks, want all %d (shard siblings must be isolated)", healthy, nBlocks)
+		t.Errorf("healthy sibling reported %d blocks, want all %d (siblings must be isolated)", healthy, nBlocks)
 	}
 }
 
 // TestEngineDuplicateToolNamesRejected: the registry requires distinct
 // report names, since they key warning deduplication across collectors.
 func TestEngineDuplicateToolNamesRejected(t *testing.T) {
-	_, err := engine.New(engine.Options{
+	_, err := engine.NewSequential(engine.Options{
 		Tools: []trace.ToolSpec{lockset.Spec(lockset.ConfigHWLC()), lockset.Spec(lockset.ConfigOriginal())},
 	})
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
@@ -258,9 +253,9 @@ func TestEngineDuplicateToolNamesRejected(t *testing.T) {
 	// Distinct report names make two configurations of one detector legal.
 	a, b := lockset.ConfigHWLC(), lockset.ConfigOriginal()
 	a.Tool, b.Tool = "hwlc", "original"
-	eng, err := engine.New(engine.Options{Tools: []trace.ToolSpec{lockset.Spec(a), lockset.Spec(b)}})
+	pipe, err := engine.NewSequential(engine.Options{Tools: []trace.ToolSpec{lockset.Spec(a), lockset.Spec(b)}})
 	if err != nil {
 		t.Fatalf("renamed configs should be accepted: %v", err)
 	}
-	eng.Close()
+	pipe.Close()
 }

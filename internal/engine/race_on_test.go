@@ -2,9 +2,8 @@
 
 package engine_test
 
-// raceEnabled reports whether the race detector is active. Under -race,
-// sync.Pool deliberately drops items at random (to expose lifetime bugs),
-// so pooled batches can never reach an allocation-free steady state;
-// allocation-budget tests skip themselves. CI enforces the budgets in a
-// separate non-race step.
+// raceEnabled reports whether the race detector is active. Race
+// instrumentation changes what allocates, so allocation-budget tests skip
+// themselves under -race; CI enforces the budgets in a separate non-race
+// step.
 const raceEnabled = true

@@ -3,23 +3,43 @@ package engine
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/tracelog"
 )
 
-// Sequential is the single-goroutine counterpart of Engine: the same tool
-// registry, the same per-tool collectors with global sequence stamping, the
-// same end-of-stream Finisher pass and the same deterministic merge — but
-// every event is delivered inline to every tool on the caller's goroutine,
-// with no routing at all. It defines the reference output the sharded engine
-// must reproduce byte for byte, and it is what core.Run uses when
-// parallelism is off: one pass over the stream feeds all registered tools.
+// toolInst is one live tool instance: a sink behind its panic isolator and a
+// private collector stamping sites with the pipeline's current global
+// sequence number.
+type toolInst struct {
+	name string
+	col  *report.Collector
+	sink *trace.SafeSink
+}
+
+func newToolInst(spec trace.ToolSpec, opt Options, cur *uint64) *toolInst {
+	col := report.NewCollector(opt.Resolver, opt.Suppressor)
+	col.SetSequencer(func() uint64 { return *cur })
+	// The SafeSink isolates a panicking tool to this one instance: sibling
+	// tools keep analysing; the panic surfaces as an error from Close.
+	ss := trace.NewSafeSink(spec.Factory(col))
+	if opt.Metrics != nil {
+		ss.OnPanic = opt.Metrics.ToolPanics.Inc
+	}
+	return &toolInst{name: spec.Name, col: col, sink: ss}
+}
+
+// Sequential is the analysis pipeline: one instance of every registered
+// tool, each with its own collector stamped with the global sequence, an
+// end-of-stream Finisher pass and a deterministic merge. Every event is
+// delivered inline to every tool on the caller's goroutine, in registration
+// order, so every tool sees the full ordered stream.
 //
 // Sequential implements trace.Sink, so it attaches to a live VM with
-// AddTool; recorded logs go through ReplayLog. Routing classes are ignored —
-// sequentially, every tool simply sees the full ordered stream.
+// AddTool; recorded logs go through ReplayLog. All events must come from one
+// goroutine, as both the VM and the log decoder guarantee.
 type Sequential struct {
 	opt       Options
 	insts     []*toolInst
@@ -30,16 +50,15 @@ type Sequential struct {
 	err       error
 	streamErr error // first mid-stream failure (e.g. a ReplayLog decode error)
 
-	// Instrumentation (nil-gated); see the Engine fields of the same names.
+	// Instrumentation (nil-gated). metPending counts events delivered since
+	// the last fold into met.EventsDecoded, so the per-event cost is a plain
+	// increment.
 	met        *Metrics
 	metPending int64
 }
 
-// NewSequential creates the single-pass multi-tool pipeline. Shards,
-// BatchSize and QueueDepth are ignored; the tool registry rules are the same
-// as New's.
+// NewSequential creates the single-pass multi-tool pipeline.
 func NewSequential(opt Options) (*Sequential, error) {
-	opt = opt.withDefaults()
 	if err := validateTools(opt.Tools); err != nil {
 		return nil, err
 	}
@@ -53,15 +72,12 @@ func NewSequential(opt Options) (*Sequential, error) {
 // Events returns the number of events delivered so far.
 func (s *Sequential) Events() int64 { return int64(s.seq) }
 
-// QueueLoad is always 0: inline delivery has no dispatch queue to back up.
-func (s *Sequential) QueueLoad() float64 { return 0 }
-
 // ReplayLog decodes a recorded binary log once and delivers every event to
 // every tool. Call Close afterwards to obtain the merged report.
 //
-// A decode error (corrupt or truncated log) marks the whole run failed, with
-// the same contract as Engine.ReplayLog: Close will return the error instead
-// of a partial merged report.
+// A decode error (corrupt or truncated log) marks the whole run failed: the
+// events delivered so far analysed only a prefix of the stream, so Close
+// will return the error instead of a partial merged report.
 func (s *Sequential) ReplayLog(r io.Reader) (int64, error) {
 	n, err := tracelog.Each(r, func(ev *tracelog.Event) { ev.Deliver(s) })
 	if s.streamErr == nil {
@@ -71,11 +87,17 @@ func (s *Sequential) ReplayLog(r io.Reader) (int64, error) {
 }
 
 // Close runs the end-of-stream passes of tools implementing trace.Finisher
-// and merges the per-tool collectors deterministically, mirroring
-// Engine.Close — including the error contracts: a tool panic still yields
-// the merged collector, while a mid-stream failure yields a nil collector
-// and a stable error, never a partial merged report. Close is idempotent;
-// delivering events after Close is a no-op.
+// and merges the per-tool collectors into one deterministic result (see
+// report.Merge): the merged order is the global first-seen order across
+// every tool. The error reports the first tool panic caught by an
+// instance's SafeSink; the merged collector is valid either way and holds
+// everything collected up to the failure.
+//
+// A mid-stream failure (a ReplayLog decode error) is different: the analysed
+// events are only a prefix of the intended stream, so Close returns a nil
+// collector and a stable error — never a partial merged report. Close is
+// idempotent: a second call returns exactly the first call's collector and
+// error. Delivering events after Close is a no-op.
 func (s *Sequential) Close() (*report.Collector, error) {
 	if s.closed {
 		return s.merged, s.err
@@ -99,28 +121,69 @@ func (s *Sequential) Close() (*report.Collector, error) {
 	return s.merged, s.err
 }
 
+// Snapshot returns the exact merged report a Close at this point in the
+// stream would produce — minus end-of-stream Finisher passes, which must not
+// run early (they may mutate tool state) — without ending the stream. Each
+// tool collector is deep-copied through its trace.Snapshotter capability and
+// the copies are merged exactly as Close merges the originals, so a snapshot
+// manifest is always a prefix of the final manifest
+// (report.PrefixConsistent), and the final report of a run with any number
+// of interleaved snapshots is byte-identical to a snapshot-free run. The
+// ingest server builds its periodic incremental session reports on this.
+//
+// Delivery is inline, so between events the collectors are already at rest:
+// Snapshot must be called from the dispatching goroutine, between events.
+// After Close it returns an error; after a mid-stream failure it returns the
+// stream error and no collector — a snapshot of a failed prefix would be as
+// misleading as a partial final report.
+func (s *Sequential) Snapshot() (*report.Collector, error) {
+	if s.closed {
+		return nil, fmt.Errorf("engine: Snapshot after Close")
+	}
+	if s.streamErr != nil {
+		return nil, fmt.Errorf("engine: stream failed after %d events: %w", s.seq, s.streamErr)
+	}
+	s.flushMetrics()
+	var cloneStart time.Time
+	if s.met != nil {
+		cloneStart = time.Now()
+	}
+	cols := make([]*report.Collector, len(s.insts))
+	for i, ti := range s.insts {
+		cols[i] = trace.Snapshotter(ti.col).SnapshotReport().(*report.Collector)
+	}
+	if s.met != nil {
+		s.met.SnapshotQuiesceNs.Observe(int64(time.Since(cloneStart)))
+	}
+	return report.Merge(s.opt.Resolver, s.opt.Suppressor, cols...), nil
+}
+
 // Summaries returns the per-tool counter rollups of every instance
-// implementing trace.Summarizer (see Engine.Summaries — the two surfaces are
-// computed identically, so sequential and sharded runs report the same
-// totals). Only valid after Close.
+// implementing trace.Summarizer, keyed by tool name. Only valid after a
+// successful stream: counters of a failed stream cover only a prefix, as
+// misleading as a partial merged report, and are suppressed the same way.
 func (s *Sequential) Summaries() map[string]trace.ToolSummary {
 	if !s.closed || s.streamErr != nil {
 		return nil
 	}
-	return summarize(s.insts)
-}
-
-// Tool returns the live instance of the named registered tool (always
-// exactly one sequentially), unwrapped from its SafeSink; nil for an
-// unknown name.
-func (s *Sequential) Tool(name string) []trace.Sink {
-	var out []trace.Sink
+	out := make(map[string]trace.ToolSummary)
 	for _, ti := range s.insts {
-		if ti.name == name {
-			out = append(out, ti.sink.Unwrap())
+		if sum, ok := ti.sink.Unwrap().(trace.Summarizer); ok {
+			out[ti.name] = sum.SummaryCounts()
 		}
 	}
 	return out
+}
+
+// Tool returns the live instance of the named registered tool, unwrapped
+// from its SafeSink; nil for an unknown name.
+func (s *Sequential) Tool(name string) trace.Sink {
+	for _, ti := range s.insts {
+		if ti.name == name {
+			return ti.sink.Unwrap()
+		}
+	}
+	return nil
 }
 
 // deliver bumps the global sequence and hands the event callback to every
@@ -144,7 +207,8 @@ func (s *Sequential) deliver(fn func(trace.Sink)) {
 }
 
 // flushMetrics folds the locally-batched event count into the shared
-// counter, mirroring Engine.flushMetrics.
+// counter. Called at every snapshot and close boundary so the exported
+// series are exact whenever anyone can observe them.
 func (s *Sequential) flushMetrics() {
 	if s.met != nil && s.metPending > 0 {
 		s.met.EventsDecoded.Add(s.metPending)

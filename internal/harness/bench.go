@@ -30,7 +30,9 @@ type BenchDoc struct {
 	Seed      int64  `json:"seed"`
 	GoMaxProc int    `json:"gomaxprocs"`
 	NumCPU    int    `json:"num_cpu"`
-	Shards    int    `json:"shards"`
+	// Shards is 1; older documents record the engine shard count of their
+	// "parallel-N" rows.
+	Shards int `json:"shards"`
 
 	Overhead []OverheadRow   `json:"overhead"`
 	Replay   []ReplayResult  `json:"replay"`

@@ -37,9 +37,8 @@ func CompareBenchDocs(oldDoc, newDoc *BenchDoc) BenchComparison {
 		oldDoc.Seed != newDoc.Seed {
 		b.WriteString("warning: workload parameters differ; per-event figures remain comparable, totals do not\n")
 	}
-	if oldDoc.GoMaxProc != newDoc.GoMaxProc || oldDoc.Shards != newDoc.Shards {
-		fmt.Fprintf(&b, "warning: host/shard shape differs (gomaxprocs %d->%d, shards %d->%d)\n",
-			oldDoc.GoMaxProc, newDoc.GoMaxProc, oldDoc.Shards, newDoc.Shards)
+	if oldDoc.GoMaxProc != newDoc.GoMaxProc {
+		fmt.Fprintf(&b, "warning: host shape differs (gomaxprocs %d->%d)\n", oldDoc.GoMaxProc, newDoc.GoMaxProc)
 	}
 
 	section := func(title string) { fmt.Fprintf(&b, "\n%s\n%-28s %12s %12s %10s\n", title, "", "old", "new", "delta") }

@@ -385,100 +385,34 @@ func TestFigure5MatchesFigure6Original(t *testing.T) {
 	}
 }
 
-func TestRunCaseParallelMatchesSequential(t *testing.T) {
-	tc, ok := sipp.CaseByID("T2")
-	if !ok {
-		t.Fatal("T2 missing")
-	}
-	for _, det := range PaperConfigs() {
-		seq, err := RunCase(tc, det, DefaultRunOptions())
-		if err != nil {
-			t.Fatalf("%s sequential: %v", det.Name, err)
-		}
-		opt := DefaultRunOptions()
-		opt.Parallel = 4
-		par, err := RunCase(tc, det, opt)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", det.Name, err)
-		}
-		if par.Locations != seq.Locations {
-			t.Errorf("%s: parallel locations = %d, sequential = %d", det.Name, par.Locations, seq.Locations)
-		}
-		if got, want := par.Collector.Format(), seq.Collector.Format(); got != want {
-			t.Errorf("%s: parallel report differs from sequential", det.Name)
-		}
-		for fam, n := range seq.ByFamily {
-			if par.ByFamily[fam] != n {
-				t.Errorf("%s: family %s = %d parallel, %d sequential", det.Name, fam, par.ByFamily[fam], n)
-			}
-		}
-	}
-}
-
-// TestRunCaseParallelWithSuppressions reproduces the live-dispatch pattern
-// where shard workers resolve stacks (suppression matching) while the guest
-// VM is still interning new ones; it must be identical to sequential and
-// race-clean (run with -race).
-func TestRunCaseParallelWithSuppressions(t *testing.T) {
-	tc, ok := sipp.CaseByID("T2")
-	if !ok {
-		t.Fatal("T2 missing")
-	}
-	opt := DefaultRunOptions()
-	opt.Suppressions = HelgrindSuppressions
-	seq, err := RunCase(tc, PaperConfigs()[0], opt)
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-	opt.Parallel = 4
-	par, err := RunCase(tc, PaperConfigs()[0], opt)
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
-	if got, want := par.Collector.Format(), seq.Collector.Format(); got != want {
-		t.Errorf("parallel suppressed report differs from sequential")
-	}
-	if par.Collector.SuppressedSites() != seq.Collector.SuppressedSites() {
-		t.Errorf("suppressed = %d parallel, %d sequential",
-			par.Collector.SuppressedSites(), seq.Collector.SuppressedSites())
-	}
-}
-
 // TestOnePassReplayMatchesPerConfig: the one-decode comparative mode must
 // report, per paper configuration, exactly the location counts the classic
-// one-config-per-replay benchmark reports — sequentially and sharded.
+// one-config-per-replay benchmark reports.
 func TestOnePassReplayMatchesPerConfig(t *testing.T) {
 	w := PerfWorkload{Threads: 2, Iters: 100, Slots: 16, Seed: 1, Blocks: 16, Racy: true}
-	perConfig, err := w.ReplayBench(4)
+	perConfig, err := w.ReplayBench()
 	if err != nil {
 		t.Fatalf("ReplayBench: %v", err)
 	}
 	want := map[string]int{}
-	for _, r := range perConfig {
-		if r.Mode == "sequential" {
-			want[r.Config] = r.Locations
-		}
-	}
-	onePass, err := w.OnePassReplay(4, PaperConfigSpecs())
-	if err != nil {
-		t.Fatalf("OnePassReplay: %v", err)
-	}
 	reported := 0
-	for _, n := range want {
-		reported += n
+	for _, r := range perConfig {
+		want[r.Config] = r.Locations
+		reported += r.Locations
 	}
 	if reported == 0 {
 		t.Fatal("racy workload reported nothing; the cross-check is vacuous")
 	}
-	for _, op := range onePass {
-		for cfg, locs := range want {
-			if op.Locations[cfg] != locs {
-				t.Errorf("%s: config %s = %d locations in one pass, %d per-config",
-					op.Mode, cfg, op.Locations[cfg], locs)
-			}
+	onePass, err := w.OnePassReplay(PaperConfigSpecs())
+	if err != nil {
+		t.Fatalf("OnePassReplay: %v", err)
+	}
+	for cfg, locs := range want {
+		if onePass.Locations[cfg] != locs {
+			t.Errorf("config %s = %d locations in one pass, %d per-config", cfg, onePass.Locations[cfg], locs)
 		}
 	}
-	if onePass[0].Events == 0 || onePass[0].Events != onePass[1].Events {
-		t.Errorf("event counts inconsistent: %d vs %d", onePass[0].Events, onePass[1].Events)
+	if onePass.Events == 0 || onePass.Events != perConfig[0].Events {
+		t.Errorf("event counts inconsistent: %d one-pass vs %d per-config", onePass.Events, perConfig[0].Events)
 	}
 }

@@ -17,13 +17,12 @@ import (
 // then stream that trace into a live ingest server, each as its own session
 // with its own engine pipeline, and the aggregate events/sec measures how
 // the daemon's throughput scales with session multiplexing. On a 1-CPU host
-// the numbers measure multiplexing overhead rather than parallel speedup,
-// exactly like the engine's shard benchmarks.
+// the numbers measure multiplexing overhead rather than parallel speedup.
 
 // IngestResult is one concurrency level's measurement.
 type IngestResult struct {
 	Sessions     int     `json:"sessions"`
-	Shards       int     `json:"shards"` // per-session engine shards (1 = sequential)
+	Shards       int     `json:"shards"` // 1; older documents may record per-session engine shards
 	Events       int64   `json:"events"` // total across sessions
 	NsTotal      int64   `json:"ns_total"`
 	EventsPerSec float64 `json:"events_per_sec"`
@@ -34,8 +33,8 @@ type IngestResult struct {
 	AllocsPerEvt float64 `json:"allocs_per_event,omitempty"`
 	BytesPerEvt  float64 `json:"bytes_per_event,omitempty"`
 	// Obs is the server's flattened metrics snapshot at the end of the level
-	// (obs.Registry.Series): the internal counters — events decoded, batches
-	// flushed, slot-wait distribution, frame traffic — behind the throughput
+	// (obs.Registry.Series): the internal counters — events decoded,
+	// slot-wait distribution, frame traffic — behind the throughput
 	// headline.
 	Obs map[string]int64 `json:"obs,omitempty"`
 }
@@ -43,12 +42,11 @@ type IngestResult struct {
 // IngestBenchLog measures live-ingest throughput of one recorded trace at
 // each of the given session counts: a fresh server per level, sessionCount
 // concurrent clients each streaming the full log and waiting for their
-// report. tools builds the per-session registry; shards configures the
-// per-session pipeline.
-func IngestBenchLog(log []byte, tools func() []trace.ToolSpec, shards int, sessionCounts []int) ([]IngestResult, error) {
+// report. tools builds the per-session registry.
+func IngestBenchLog(log []byte, tools func() []trace.ToolSpec, sessionCounts []int) ([]IngestResult, error) {
 	var out []IngestResult
 	for _, sessions := range sessionCounts {
-		res, err := ingestOnce(log, tools, shards, sessions)
+		res, err := ingestOnce(log, tools, sessions)
 		if err != nil {
 			return nil, fmt.Errorf("harness: ingest %d sessions: %w", sessions, err)
 		}
@@ -57,9 +55,9 @@ func IngestBenchLog(log []byte, tools func() []trace.ToolSpec, shards int, sessi
 	return out, nil
 }
 
-func ingestOnce(log []byte, tools func() []trace.ToolSpec, shards, sessions int) (IngestResult, error) {
+func ingestOnce(log []byte, tools func() []trace.ToolSpec, sessions int) (IngestResult, error) {
 	reg := obs.NewRegistry()
-	srv, err := ingest.NewServer(ingest.Config{Tools: tools, Shards: shards, MaxSessions: sessions, Metrics: reg})
+	srv, err := ingest.NewServer(ingest.Config{Tools: tools, MaxSessions: sessions, Metrics: reg})
 	if err != nil {
 		return IngestResult{}, err
 	}
@@ -108,12 +106,9 @@ func ingestOnce(log []byte, tools func() []trace.ToolSpec, shards, sessions int)
 	for _, sess := range srv.Sessions() {
 		events += sess.Events()
 	}
-	if shards < 1 {
-		shards = 1
-	}
 	res := IngestResult{
 		Sessions:     sessions,
-		Shards:       shards,
+		Shards:       1,
 		Events:       events,
 		NsTotal:      dur.Nanoseconds(),
 		EventsPerSec: float64(events) / dur.Seconds(),

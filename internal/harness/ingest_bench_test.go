@@ -21,7 +21,7 @@ func BenchmarkIngest(b *testing.B) {
 	for _, sessions := range []int{1, 4} {
 		b.Run(fmt.Sprintf("sessions%d", sessions), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := harness.IngestBenchLog(log, scenario.AllTools, 0, []int{sessions})
+				res, err := harness.IngestBenchLog(log, scenario.AllTools, []int{sessions})
 				if err != nil {
 					b.Fatal(err)
 				}

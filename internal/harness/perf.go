@@ -52,8 +52,8 @@ type PerfWorkload struct {
 	Slots   int
 	Seed    int64
 	// Blocks > 1 allocates the table as that many separate heap blocks
-	// instead of one, giving the parallel engine's per-block shard hash
-	// something to distribute. 0 or 1 keeps the classic single-block table.
+	// instead of one, spreading the detectors' per-block state. 0 or 1
+	// keeps the classic single-block table.
 	Blocks int
 	// Racy additionally hammers an unlocked counter so detectors have
 	// something to report. Off for the §4.5 benchmarks (whose trajectories
@@ -188,11 +188,13 @@ func (w PerfWorkload) Overhead() ([]PerfResult, error) {
 }
 
 // ReplayResult is one offline-replay measurement: the recorded workload
-// trace analysed by one detector configuration, sequentially or through the
-// sharded engine.
+// trace analysed by one detector configuration.
 type ReplayResult struct {
-	Config    string  `json:"config"`
-	Mode      string  `json:"mode"` // "sequential" or "parallel-N"
+	Config string `json:"config"`
+	// Mode is "sequential". Documents from before the sharded engine was
+	// removed also carry "parallel-N" rows.
+	Mode string `json:"mode"`
+	// Shards is 1; older documents record N on their "parallel-N" rows.
 	Shards    int     `json:"shards"`
 	Events    int64   `json:"events"`
 	NsTotal   int64   `json:"ns_total"`
@@ -208,9 +210,9 @@ type ReplayResult struct {
 // RecordTrace executes the workload once on the VM with only the trace
 // recorder attached and returns the machine (for stack/block resolution)
 // plus the encoded binary log. Benchmarks that replay the same trace many
-// times (best-of repetitions, several shard counts) should record once with
-// this and hand the log to the *Log variants, instead of re-executing the
-// deterministic guest on every repetition.
+// times (best-of repetitions) should record once with this and hand the log
+// to the *Log variants, instead of re-executing the deterministic guest on
+// every repetition.
 func (w PerfWorkload) RecordTrace() (*vm.VM, []byte, error) {
 	var buf bytes.Buffer
 	rec := tracelog.NewRecorder(&buf)
@@ -226,20 +228,17 @@ func (w PerfWorkload) RecordTrace() (*vm.VM, []byte, error) {
 }
 
 // ReplayBench records the workload's trace once, then measures offline
-// analysis throughput for every paper configuration: sequential
-// tracelog.Replay versus the engine with the given shard count. The
-// location counts double as a determinism cross-check (they must agree
-// between the two modes).
-func (w PerfWorkload) ReplayBench(shards int) ([]ReplayResult, error) {
+// analysis throughput of tracelog.Replay for every paper configuration.
+func (w PerfWorkload) ReplayBench() ([]ReplayResult, error) {
 	v, log, err := w.RecordTrace()
 	if err != nil {
 		return nil, err
 	}
-	return w.ReplayBenchLog(v, log, shards)
+	return w.ReplayBenchLog(v, log)
 }
 
 // ReplayBenchLog is ReplayBench over an already-recorded trace.
-func (w PerfWorkload) ReplayBenchLog(v *vm.VM, log []byte, shards int) ([]ReplayResult, error) {
+func (w PerfWorkload) ReplayBenchLog(v *vm.VM, log []byte) ([]ReplayResult, error) {
 	var out []ReplayResult
 	for _, det := range PaperConfigs() {
 		var meter *allocMeter
@@ -257,32 +256,6 @@ func (w PerfWorkload) ReplayBenchLog(v *vm.VM, log []byte, shards int) ([]Replay
 			Config: det.Name, Mode: "sequential", Shards: 1, Events: events,
 			NsTotal: dur.Nanoseconds(), NsPerEvt: float64(dur.Nanoseconds()) / float64(events),
 			Locations: col.Locations(),
-		}
-		if meter != nil {
-			res.AllocsPerEvt, res.BytesPerEvt = meter.perEvent(events)
-		}
-		out = append(out, res)
-
-		if w.MeasureAllocs {
-			meter = startAllocMeter()
-		}
-		start = time.Now()
-		eng, err := engine.New(engine.Options{Shards: shards, Tools: []trace.ToolSpec{lockset.Spec(det.Cfg)}, Resolver: v})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := eng.ReplayLog(bytes.NewReader(log)); err != nil {
-			return nil, err
-		}
-		merged, err := eng.Close()
-		if err != nil {
-			return nil, err
-		}
-		dur = time.Since(start)
-		res = ReplayResult{
-			Config: det.Name, Mode: fmt.Sprintf("parallel-%d", shards), Shards: shards, Events: events,
-			NsTotal: dur.Nanoseconds(), NsPerEvt: float64(dur.Nanoseconds()) / float64(events),
-			Locations: merged.Locations(),
 		}
 		if meter != nil {
 			res.AllocsPerEvt, res.BytesPerEvt = meter.perEvent(events)
@@ -308,9 +281,12 @@ func PaperConfigSpecs() []trace.ToolSpec {
 }
 
 // OnePassResult is one single-decode multi-tool replay measurement: every
-// registered tool analysed the trace concurrently in one pass.
+// registered tool analysed the trace in one pass.
 type OnePassResult struct {
-	Mode      string         `json:"mode"` // "sequential" or "parallel-N"
+	// Mode is "sequential". Documents from before the sharded engine was
+	// removed also carry a "parallel-N" row.
+	Mode string `json:"mode"`
+	// Shards is 1; older documents record N on their "parallel-N" row.
 	Shards    int            `json:"shards"`
 	Tools     []string       `json:"tools"`
 	Events    int64          `json:"events"`
@@ -324,21 +300,20 @@ type OnePassResult struct {
 }
 
 // OnePassReplay records the workload's trace once, then measures the
-// single-decode multi-tool replay: all given tools run concurrently over one
-// pass of the log, sequentially (engine.Sequential) and through the engine
-// with the given shard count. The per-tool location counts double as a
-// determinism cross-check — they must agree between the two modes, and with
-// the equivalent one-tool-per-replay runs.
-func (w PerfWorkload) OnePassReplay(shards int, specs []trace.ToolSpec) ([]OnePassResult, error) {
+// single-decode multi-tool replay: all given tools run over one pass of the
+// log (engine.Sequential). The per-tool location counts double as a
+// determinism cross-check — they must agree with the equivalent
+// one-tool-per-replay runs.
+func (w PerfWorkload) OnePassReplay(specs []trace.ToolSpec) (OnePassResult, error) {
 	v, log, err := w.RecordTrace()
 	if err != nil {
-		return nil, err
+		return OnePassResult{}, err
 	}
-	return w.OnePassReplayLog(v, log, shards, specs)
+	return w.OnePassReplayLog(v, log, specs)
 }
 
 // OnePassReplayLog is OnePassReplay over an already-recorded trace.
-func (w PerfWorkload) OnePassReplayLog(v *vm.VM, log []byte, shards int, specs []trace.ToolSpec) ([]OnePassResult, error) {
+func (w PerfWorkload) OnePassReplayLog(v *vm.VM, log []byte, specs []trace.ToolSpec) (OnePassResult, error) {
 	names := make([]string, len(specs))
 	for i, s := range specs {
 		names[i] = s.Name
@@ -351,52 +326,26 @@ func (w PerfWorkload) OnePassReplayLog(v *vm.VM, log []byte, shards int, specs [
 	start := time.Now()
 	seq, err := engine.NewSequential(engine.Options{Tools: specs, Resolver: v})
 	if err != nil {
-		return nil, err
+		return OnePassResult{}, err
 	}
 	events, err := seq.ReplayLog(bytes.NewReader(log))
 	if err != nil {
-		return nil, err
+		return OnePassResult{}, err
 	}
 	col, err := seq.Close()
 	if err != nil {
-		return nil, err
+		return OnePassResult{}, err
 	}
 	dur := time.Since(start)
-	out := []OnePassResult{{
+	res := OnePassResult{
 		Mode: "sequential", Shards: 1, Tools: names, Events: events,
 		NsTotal: dur.Nanoseconds(), NsPerEvt: float64(dur.Nanoseconds()) / float64(events),
 		Locations: col.LocationsByTool(),
-	}}
-	if meter != nil {
-		out[0].AllocsPerEvt, out[0].BytesPerEvt = meter.perEvent(events)
-	}
-
-	if w.MeasureAllocs {
-		meter = startAllocMeter()
-	}
-	start = time.Now()
-	eng, err := engine.New(engine.Options{Shards: shards, Tools: specs, Resolver: v})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := eng.ReplayLog(bytes.NewReader(log)); err != nil {
-		return nil, err
-	}
-	merged, err := eng.Close()
-	if err != nil {
-		return nil, err
-	}
-	dur = time.Since(start)
-	par := OnePassResult{
-		Mode: fmt.Sprintf("parallel-%d", shards), Shards: shards, Tools: names, Events: events,
-		NsTotal: dur.Nanoseconds(), NsPerEvt: float64(dur.Nanoseconds()) / float64(events),
-		Locations: merged.LocationsByTool(),
 	}
 	if meter != nil {
-		par.AllocsPerEvt, par.BytesPerEvt = meter.perEvent(events)
+		res.AllocsPerEvt, res.BytesPerEvt = meter.perEvent(events)
 	}
-	out = append(out, par)
-	return out, nil
+	return res, nil
 }
 
 // FormatOverhead renders the measurements with slowdowns relative to native

@@ -21,7 +21,7 @@ package ingest
 //     which every degradation mechanism below is inert, which is what keeps
 //     zero-pressure reports byte-identical to a server without any of this.
 //   - Ladder (shedSpecs): under Config.DegradationLadder, sessions admitted
-//     at level >= 1 shed the single-shard tools (highlevel), level >= 2 also
+//     at level >= 1 shed the whole-stream tools (highlevel), level >= 2 also
 //     the broadcast tools (the lock-order detector). Block-routed tools —
 //     lockset, djit, hybrid, memcheck, the paper's core detectors — are never
 //     shed.
@@ -98,10 +98,8 @@ func newTokenBucket(rate float64, burst int) *tokenBucket {
 	return &tokenBucket{rate: rate, burst: float64(burst), tokens: float64(burst)}
 }
 
-// take consumes cost tokens, or reports how long until that many accrue. An
-// ordinary admission costs one token; admission under pipeline backlog costs
-// more (see admit), which tightens the sustained rate without a second knob.
-func (b *tokenBucket) take(now time.Time, cost float64) (ok bool, retryAfter time.Duration) {
+// take consumes one token, or reports how long until one accrues.
+func (b *tokenBucket) take(now time.Time) (ok bool, retryAfter time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.last.IsZero() {
@@ -111,11 +109,11 @@ func (b *tokenBucket) take(now time.Time, cost float64) (ok bool, retryAfter tim
 		}
 	}
 	b.last = now
-	if b.tokens >= cost {
-		b.tokens -= cost
+	if b.tokens >= 1 {
+		b.tokens--
 		return true, 0
 	}
-	wait := time.Duration((cost - b.tokens) / b.rate * float64(time.Second))
+	wait := time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
 	if wait < time.Millisecond {
 		wait = time.Millisecond
 	}
@@ -131,23 +129,9 @@ func (b *tokenBucket) take(now time.Time, cost float64) (ok bool, retryAfter tim
 // probes, its own waiter count is gone and a slot may already have freed).
 func (s *Server) admit() (waited bool, err error) {
 	if s.bucket != nil {
-		// Queue-load feedback: when any live session pipeline is backed up
-		// past the tighten threshold, an admission costs double — the
-		// sustained rate halves while the backlog lasts, without a second
-		// knob. Slot occupancy says how many sessions run; queue load says
-		// the ones running are not keeping up, which is the overload that
-		// admitting faster can only deepen.
-		cost := 1.0
-		if s.maxQueueLoad() >= queueLoadTighten {
-			cost = 2
-		}
-		if ok, retry := s.bucket.take(time.Now(), cost); !ok {
-			reason := "rate"
-			if cost > 1 {
-				reason = "rate-queue"
-			}
+		if ok, retry := s.bucket.take(time.Now()); !ok {
 			return false, &rejectError{
-				reason:     reason,
+				reason:     "rate",
 				msg:        fmt.Sprintf("admission rate %.3g/s exceeded", s.cfg.AdmitRate),
 				retryAfter: retry,
 			}
@@ -248,7 +232,7 @@ const rejectDrainTimeout = 5 * time.Second
 
 // shedSpecs applies the degradation ladder to one session's tool registry.
 // The order encodes the paper's priorities: the auxiliary detectors go
-// first (level >= 1 sheds single-shard tools — highlevel; level >= 2 also
+// first (level >= 1 sheds whole-stream tools — highlevel; level >= 2 also
 // broadcast tools — the lock-order detector), while block-routed tools
 // (lockset, djit, hybrid, memcheck) are never shed. A registry that would
 // shed to nothing is kept whole: analysing with the only configured tools
@@ -277,26 +261,16 @@ func shedSpecs(specs []trace.ToolSpec, level int) (kept []trace.ToolSpec, shed [
 // per event.
 const samplerRecheck = 4096
 
-// queueLoadTighten is the pipeline backlog fraction past which the overload
-// machinery tightens: the sampler sheds another quarter of access events, and
-// admission (admit) doubles the token cost of each new session.
-const queueLoadTighten = 0.75
-
-// keepPctFor maps the overload state to the percentage of memory-access
-// events a session keeps. Slot pressure sets the floor; a backed-up session
-// pipeline (queue load from engine.Pipeline.QueueLoad) tightens it further.
-func keepPctFor(level int, queueLoad float64) int {
-	pct := 100
+// keepPctFor maps the slot-pressure level to the percentage of
+// memory-access events a session keeps.
+func keepPctFor(level int) int {
 	switch level {
 	case pressureHigh:
-		pct = 75
+		return 75
 	case pressureFull:
-		pct = 50
+		return 50
 	}
-	if queueLoad >= queueLoadTighten && pct > 25 {
-		pct -= 25
-	}
-	return pct
+	return 100
 }
 
 // sampler is one session's adaptive access-event sampler. Dropping is
@@ -304,21 +278,18 @@ func keepPctFor(level int, queueLoad float64) int {
 // to a kept block is analysed — the per-block candidate-set and
 // happens-before state a detector builds is complete or absent, never torn.
 type sampler struct {
-	level     func() int     // live server pressure probe
-	queueLoad func() float64 // live session pipeline backlog probe
-	keepPct   int
-	dropped   int64
-	sinceOut  int // events since the last pressure re-probe
+	level    func() int // live server pressure probe
+	keepPct  int
+	dropped  int64
+	sinceOut int // events since the last pressure re-probe
 }
 
 // newSampler seeds the keep percentage from the pressure level serveConn
 // observed at admission (which includes the waited-for-slot floor — a live
 // probe here would miss it), then re-probes live pressure as the session
 // runs.
-func newSampler(initial int, level func() int, queueLoad func() float64) *sampler {
-	sam := &sampler{level: level, queueLoad: queueLoad}
-	sam.keepPct = keepPctFor(initial, queueLoad())
-	return sam
+func newSampler(initial int, level func() int) *sampler {
+	return &sampler{level: level, keepPct: keepPctFor(initial)}
 }
 
 // keep decides one event's fate and re-probes the pressure level every
@@ -327,7 +298,7 @@ func newSampler(initial int, level func() int, queueLoad func() float64) *sample
 func (sam *sampler) keep(ev *tracelog.Event) bool {
 	if sam.sinceOut++; sam.sinceOut >= samplerRecheck {
 		sam.sinceOut = 0
-		sam.keepPct = keepPctFor(sam.level(), sam.queueLoad())
+		sam.keepPct = keepPctFor(sam.level())
 	}
 	if ev.Op != tracelog.OpAccess || sam.keepPct >= 100 {
 		return true

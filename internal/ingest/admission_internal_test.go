@@ -40,7 +40,7 @@ func TestPressureLevel(t *testing.T) {
 	}
 }
 
-// TestShedSpecs pins the ladder order: single-shard tools go at low
+// TestShedSpecs pins the ladder order: whole-stream tools go at low
 // pressure, broadcast tools at high, block-routed tools never — and a
 // registry that would shed to nothing is kept whole.
 func TestShedSpecs(t *testing.T) {
@@ -76,22 +76,19 @@ func TestShedSpecs(t *testing.T) {
 	}
 }
 
-// TestKeepPctFor pins the sampling schedule over pressure and queue load.
+// TestKeepPctFor pins the sampling schedule over pressure.
 func TestKeepPctFor(t *testing.T) {
 	for _, tc := range []struct {
-		level     int
-		queueLoad float64
-		want      int
+		level int
+		want  int
 	}{
-		{pressureNone, 0, 100},
-		{pressureLow, 0, 100},
-		{pressureHigh, 0, 75},
-		{pressureFull, 0, 50},
-		{pressureNone, 0.9, 75}, // backed-up pipeline tightens the keep rate
-		{pressureFull, 0.9, 25},
+		{pressureNone, 100},
+		{pressureLow, 100},
+		{pressureHigh, 75},
+		{pressureFull, 50},
 	} {
-		if got := keepPctFor(tc.level, tc.queueLoad); got != tc.want {
-			t.Errorf("keepPctFor(%d, %.1f) = %d, want %d", tc.level, tc.queueLoad, got, tc.want)
+		if got := keepPctFor(tc.level); got != tc.want {
+			t.Errorf("keepPctFor(%d) = %d, want %d", tc.level, got, tc.want)
 		}
 	}
 }
@@ -101,24 +98,24 @@ func TestTokenBucket(t *testing.T) {
 	b := newTokenBucket(2, 2) // 2 tokens/s, burst 2
 	now := time.Unix(1000, 0)
 	for i := 0; i < 2; i++ {
-		if ok, _ := b.take(now, 1); !ok {
+		if ok, _ := b.take(now); !ok {
 			t.Fatalf("take %d within burst refused", i+1)
 		}
 	}
-	ok, retry := b.take(now, 1)
+	ok, retry := b.take(now)
 	if ok {
 		t.Fatal("take beyond burst admitted")
 	}
 	if retry != 500*time.Millisecond {
 		t.Errorf("retry hint = %v, want 500ms (one token at 2/s)", retry)
 	}
-	if ok, _ := b.take(now.Add(500*time.Millisecond), 1); !ok {
+	if ok, _ := b.take(now.Add(500 * time.Millisecond)); !ok {
 		t.Error("take after the hinted refill refused")
 	}
 	// The hint never degenerates below a millisecond.
 	tight := newTokenBucket(1e6, 1)
-	tight.take(now, 1)
-	if _, retry := tight.take(now, 1); retry < time.Millisecond {
+	tight.take(now)
+	if _, retry := tight.take(now); retry < time.Millisecond {
 		t.Errorf("retry hint = %v, want >= 1ms", retry)
 	}
 }

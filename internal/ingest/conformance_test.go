@@ -39,29 +39,24 @@ func buildCorpus(t testing.TB, seeds int) []corpusEntry {
 // TestIngestConformance is the live-vs-offline byte-identity suite: every
 // scenario trace streamed through a live server session must yield exactly
 // the report an offline engine replay of the same trace produces, for all
-// six tools, with both the sequential and the sharded per-session pipeline.
-// CI runs this under -race.
+// six tools. CI runs this under -race.
 func TestIngestConformance(t *testing.T) {
 	corpus := buildCorpus(t, 7)
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			_, addr := startServer(t, ingest.Config{Shards: shards})
-			for _, entry := range corpus {
-				c, err := ingest.Dial(addr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := c.StreamTrace(entry.name, entry.log, 512)
-				c.Close()
-				if err != nil {
-					t.Fatalf("%s: %v", entry.name, err)
-				}
-				if got != entry.want {
-					t.Errorf("%s: live session report != offline replay:\n--- live ---\n%s--- offline ---\n%s",
-						entry.name, got, entry.want)
-				}
-			}
-		})
+	_, addr := startServer(t, ingest.Config{})
+	for _, entry := range corpus {
+		c, err := ingest.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.StreamTrace(entry.name, entry.log, 512)
+		c.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", entry.name, err)
+		}
+		if got != entry.want {
+			t.Errorf("%s: live session report != offline replay:\n--- live ---\n%s--- offline ---\n%s",
+				entry.name, got, entry.want)
+		}
 	}
 }
 

@@ -16,35 +16,33 @@ import (
 
 // TestObsConformance pins the hard observability requirement on the live
 // path: a server with a metrics registry attached produces byte-identical
-// session reports to one without, for sequential and sharded per-session
-// pipelines alike, and both match the offline replay of the same trace.
-// (The offline half of the matrix is TestEngineMetricsConformance.)
+// session reports to one without, and both match the offline replay of the
+// same trace. (The offline half of the matrix is
+// TestEngineMetricsConformance.)
 func TestObsConformance(t *testing.T) {
 	log := recordScenario(t, 3, true)
 	want := offlineReport(t, log)
-	for _, shards := range []int{0, 4} {
-		run := func(reg *obs.Registry) string {
-			t.Helper()
-			_, addr := startServer(t, ingest.Config{Shards: shards, Metrics: reg})
-			c, err := ingest.Dial(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			rep, err := c.StreamTrace("conf", log, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rep
+	run := func(reg *obs.Registry) string {
+		t.Helper()
+		_, addr := startServer(t, ingest.Config{Metrics: reg})
+		c, err := ingest.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
 		}
-		plain := run(nil)
-		instrumented := run(obs.NewRegistry())
-		if plain != instrumented {
-			t.Errorf("shards=%d: live report changed when metrics attached", shards)
+		defer c.Close()
+		rep, err := c.StreamTrace("conf", log, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if plain != want {
-			t.Errorf("shards=%d: live report differs from offline replay", shards)
-		}
+		return rep
+	}
+	plain := run(nil)
+	instrumented := run(obs.NewRegistry())
+	if plain != instrumented {
+		t.Error("live report changed when metrics attached")
+	}
+	if plain != want {
+		t.Error("live report differs from offline replay")
 	}
 }
 
@@ -53,9 +51,7 @@ func TestObsConformance(t *testing.T) {
 // moved, and a server without a registry answers with a useful error.
 func TestStatsQuery(t *testing.T) {
 	reg := obs.NewRegistry()
-	// Sharded per-session pipelines, so the batch counter moves too (the
-	// sequential pipeline delivers inline and flushes no batches).
-	srv, addr := startServer(t, ingest.Config{Metrics: reg, Shards: 2})
+	srv, addr := startServer(t, ingest.Config{Metrics: reg})
 	log := recordScenario(t, 4, true)
 
 	c, err := ingest.Dial(addr)
@@ -80,7 +76,6 @@ func TestStatsQuery(t *testing.T) {
 	series := parseSeries(t, text)
 	for name, min := range map[string]int64{
 		"engine_events_decoded_total":                  1,
-		"engine_batches_flushed_total":                 1,
 		"ingest_sessions_opened_total":                 1,
 		"ingest_events_total":                          1,
 		`ingest_sessions{state="reported"}`:            1,

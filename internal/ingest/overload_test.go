@@ -329,50 +329,44 @@ func TestOverloadFlood(t *testing.T) {
 // bounded admission, adaptive sampling, the degradation ladder and a fold
 // site cap all configured but no pressure applied (sessions one at a time,
 // slots to spare), every report is byte-identical to the offline replay —
-// i.e. to the report of a server without any overload machinery. Both
-// pipeline shapes, like the main conformance suite; CI runs this under
-// -race.
+// i.e. to the report of a server without any overload machinery. CI runs
+// this under -race.
 func TestOverloadFeaturesZeroPressureIdentity(t *testing.T) {
 	corpus := buildCorpus(t, 4)
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			reg := obs.NewRegistry()
-			_, addr := startServer(t, ingest.Config{
-				Shards:            shards,
-				MaxSessions:       64,
-				AdmitTimeout:      time.Second,
-				AdmitRate:         10000,
-				AdmitBurst:        64,
-				AdaptiveSampling:  true,
-				DegradationLadder: true,
-				FoldSiteCap:       8,
-				Metrics:           reg,
-			})
-			for _, entry := range corpus {
-				c, err := ingest.Dial(addr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := c.StreamTrace(entry.name, entry.log, 512)
-				c.Close()
-				if err != nil {
-					t.Fatalf("%s: %v", entry.name, err)
-				}
-				if got != entry.want {
-					t.Errorf("%s: report with overload features enabled differs at zero pressure:\n--- live ---\n%s--- offline ---\n%s",
-						entry.name, got, entry.want)
-				}
-			}
-			series := reg.Series()
-			for _, name := range []string{
-				"ingest_sampled_events_total",
-				"ingest_degraded_sessions_total",
-			} {
-				if series[name] != 0 {
-					t.Errorf("%s = %d at zero pressure, want 0", name, series[name])
-				}
-			}
-		})
+	reg := obs.NewRegistry()
+	_, addr := startServer(t, ingest.Config{
+		MaxSessions:       64,
+		AdmitTimeout:      time.Second,
+		AdmitRate:         10000,
+		AdmitBurst:        64,
+		AdaptiveSampling:  true,
+		DegradationLadder: true,
+		FoldSiteCap:       8,
+		Metrics:           reg,
+	})
+	for _, entry := range corpus {
+		c, err := ingest.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.StreamTrace(entry.name, entry.log, 512)
+		c.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", entry.name, err)
+		}
+		if got != entry.want {
+			t.Errorf("%s: report with overload features enabled differs at zero pressure:\n--- live ---\n%s--- offline ---\n%s",
+				entry.name, got, entry.want)
+		}
+	}
+	series := reg.Series()
+	for _, name := range []string{
+		"ingest_sampled_events_total",
+		"ingest_degraded_sessions_total",
+	} {
+		if series[name] != 0 {
+			t.Errorf("%s = %d at zero pressure, want 0", name, series[name])
+		}
 	}
 }
 

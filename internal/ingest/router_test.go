@@ -128,7 +128,7 @@ func TestRouterConformance(t *testing.T) {
 // session. CI runs this under -race.
 func TestRouterFoldAcrossBackends(t *testing.T) {
 	log := recordScenario(t, 1, true)
-	offline, err := scenario.RunOffline(nil, log, 1)
+	offline, err := scenario.RunOffline(nil, log)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,44 +100,6 @@ func TestBackendCensusRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQueueLoadTightensAdmission pins the queue-load feedback: with any live
-// pipeline past the tighten threshold, one admission costs two tokens, so a
-// bucket that would have admitted rejects — under the distinct "rate-queue"
-// reason.
-func TestQueueLoadTightensAdmission(t *testing.T) {
-	mkServer := func(load float64) *Server {
-		s := &Server{
-			cfg:      Config{AdmitRate: 1, AdmitBurst: 1},
-			bucket:   newTokenBucket(1, 1),
-			sem:      make(chan struct{}, 4),
-			shutdown: make(chan struct{}),
-			loads:    map[uint64]func() float64{1: func() float64 { return load }},
-		}
-		return s
-	}
-
-	// Calm pipeline: one token admits.
-	if _, err := mkServer(0.2).admit(); err != nil {
-		t.Fatalf("admission rejected with a calm queue: %v", err)
-	}
-	// Backed-up pipeline: the same bucket state rejects at doubled cost.
-	_, err := mkServer(queueLoadTighten).admit()
-	if err == nil {
-		t.Fatal("admission accepted with a backed-up queue at one-token budget")
-	}
-	rej, ok := err.(*rejectError)
-	if !ok || rej.reason != "rate-queue" {
-		t.Errorf("rejection = %v (reason %q), want rate-queue", err, rej.reason)
-	}
-	// The probe maximum governs: one calm pipeline plus one backed-up one
-	// still tightens.
-	s := mkServer(0.1)
-	s.loads[2] = func() float64 { return 0.9 }
-	if s.maxQueueLoad() < queueLoadTighten {
-		t.Errorf("maxQueueLoad = %v, want >= %v", s.maxQueueLoad(), queueLoadTighten)
-	}
-}
-
 // TestBackoffGovernor pins the cooperative client backoff: busy rejections
 // grow the governed delay (seeded by the server hint), successes decay it
 // back to zero, and non-busy errors never engage it.

@@ -147,9 +147,7 @@ type gran struct {
 // mode, with/without the bus pseudo-lock). The sets are maintained
 // incrementally: acquire and release walk a single memoised transition edge
 // per variant in the SetTable instead of re-sorting and re-interning the held
-// set, so steady-state lock traffic — including the broadcast path of the
-// parallel engine, where every shard observes every lock event — costs a few
-// map hits and no allocation.
+// set, so steady-state lock traffic costs a few map hits and no allocation.
 type threadLocks struct {
 	init         bool
 	curSeg       trace.SegmentID
@@ -180,10 +178,10 @@ type Detector struct {
 // Spec registers the detector with the analysis engine's tool registry. The
 // detector is block-routed: its warning-producing shadow state is per heap
 // block and warnings arise only from block-carrying events, while the
-// thread/lock/segment state it also keeps is derived purely from broadcast
-// events and therefore evolves identically in every shard. Each instance owns
-// all of its state (set table, segment graph, shadow memory), so per-shard
-// instances never share mutable state.
+// thread/lock/segment state it also keeps is derived purely from
+// synchronisation, segment and thread events. Each instance owns all of its
+// state (set table, segment graph, shadow memory), so instances never share
+// mutable state.
 func Spec(cfg Config) trace.ToolSpec {
 	cfg = cfg.withDefaults()
 	return trace.ToolSpec{

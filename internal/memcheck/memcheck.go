@@ -47,10 +47,9 @@ type Detector struct {
 }
 
 // Spec registers the tool with the analysis engine's tool registry. Memcheck
-// is block-routed — and therefore truly sharded: its entire state is the
-// per-block freed flag, and both of its warnings (use after free, double
-// free) arise from events carrying that block. An instance never needs to
-// see any other block's events, so partitioning by block hash is exact.
+// is block-routed: its entire state is the per-block freed flag, and both of
+// its warnings (use after free, double free) arise from events carrying that
+// block.
 func Spec(cfg Config) trace.ToolSpec {
 	if cfg.Tool == "" {
 		cfg.Tool = "memcheck"
@@ -89,11 +88,8 @@ func (d *Detector) Leaks() (blocks int, bytes int64) {
 	return blocks, bytes
 }
 
-// SummaryCounts implements trace.Summarizer. Every counter is per-block
-// state, so summing instances over the engine's disjoint block partitions
-// reproduces the sequential totals exactly — this is how parallel runs keep
-// the end-of-run memcheck summary that Result.MemcheckDetector (one instance
-// per shard, hence nil) cannot provide.
+// SummaryCounts implements trace.Summarizer: the dynamic error count and
+// the leak totals, which the ingest aggregate sums across sessions.
 func (d *Detector) SummaryCounts() trace.ToolSummary {
 	blocks, bytes := d.Leaks()
 	return trace.ToolSummary{

@@ -7,16 +7,14 @@ import (
 	"repro/internal/trace"
 )
 
-// Merge combines several collectors into one, deterministically. It exists
-// for the parallel analysis engine (internal/engine) — each shard worker
-// accumulates warnings into its own collector and Merge reassembles a result
-// independent of goroutine scheduling — and for every cross-session fold
-// above it: the ingest retention fold, the per-server aggregate, and the
+// Merge combines several collectors into one, deterministically. The
+// analysis pipeline (internal/engine) merges its per-tool collectors with
+// it, and so does every cross-session fold above it: the ingest retention fold, the per-server aggregate, and the
 // router's fleet aggregate all reduce to Merge over collectors from
 // different sessions or processes.
 //
 // Sites are folded by SiteKey — the content-derived (tool, kind, location)
-// identity — so equal keys fold whether they came from two shards of one
+// identity — so equal keys fold whether they came from two tools of one
 // stream or two sessions on two backend processes: the occurrence counts are
 // summed and the details of the earliest first occurrence win, with a
 // content tie-break (exemplarBefore) when first occurrences carry equal
@@ -26,16 +24,13 @@ import (
 // different backend assignments — yields byte-identical output.
 //
 // Ordering is by Warning.Seq — the global event sequence stamped by
-// SetSequencer — so when the inputs were fed disjoint substreams of one
-// totally-ordered event stream, the merged first-seen order equals the
-// sequential one. Inputs without a sequencer (Seq 0 everywhere) still merge
+// SetSequencer — so when the inputs observed one totally-ordered event
+// stream, the merged first-seen order is that stream's. Inputs without a sequencer (Seq 0 everywhere) still merge
 // deterministically, ordered by (tool, kind, location digest).
 //
 // The totals are additive: Merge assumes every dynamic warning occurrence
-// was observed by exactly one input, which holds when warnings arise only
-// from partitioned events (memory accesses and client requests). Tools that
-// warn from broadcast events (e.g. the lock-order detector) must not be run
-// on more than one shard, or their occurrences will be double-counted.
+// was observed by exactly one input, as it is when each input is a
+// different tool or a different session.
 func Merge(res trace.Resolver, sup Suppressor, parts ...*Collector) *Collector {
 	out := NewCollector(res, sup)
 	for _, c := range parts {

@@ -67,7 +67,7 @@ func NewCollector(res trace.Resolver, sup Suppressor) *Collector {
 // SetSequencer installs a callback returning the current global event
 // sequence number. When set, every new site is stamped with the sequence of
 // its first occurrence (Warning.Seq), which is what lets Merge reconstruct
-// the sequential first-seen order from per-shard collectors.
+// the single-pass first-seen order from per-tool collectors.
 func (c *Collector) SetSequencer(fn func() uint64) { c.seq = fn }
 
 // Add records a warning occurrence, implementing trace.Reporter. The first

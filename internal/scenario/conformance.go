@@ -63,27 +63,21 @@ func Record(s *Scenario, buggy bool, schedSeed int64) (*vm.VM, []byte, error) {
 }
 
 // RunLive executes the scenario variant live under the full registry through
-// core.Run: sequentially for shards <= 1, otherwise across that many engine
-// workers consuming the VM stream.
-func RunLive(s *Scenario, buggy bool, schedSeed int64, shards int) (*core.Result, error) {
-	res, err := core.Run(core.Options{
-		Tools:    AllTools(),
-		Seed:     schedSeed,
-		Parallel: shards,
-	}, s.Body(buggy))
+// core.Run, the pipeline consuming the VM stream.
+func RunLive(s *Scenario, buggy bool, schedSeed int64) (*core.Result, error) {
+	res, err := core.Run(core.Options{Tools: AllTools(), Seed: schedSeed}, s.Body(buggy))
 	if err != nil {
 		return nil, err
 	}
 	if res.Err != nil {
-		return nil, fmt.Errorf("scenario %s (sched %d, %d shards): guest: %w", s.Name(), schedSeed, shards, res.Err)
+		return nil, fmt.Errorf("scenario %s (sched %d): guest: %w", s.Name(), schedSeed, res.Err)
 	}
 	return res, nil
 }
 
-// RunOffline replays a recorded log through the full registry, sequentially
-// for shards <= 1, otherwise through the sharded engine.
-func RunOffline(res trace.Resolver, log []byte, shards int) (*report.Collector, error) {
-	pipe, err := engine.NewPipeline(engine.Options{Tools: AllTools(), Resolver: res, Shards: shards})
+// RunOffline replays a recorded log through the full registry.
+func RunOffline(res trace.Resolver, log []byte) (*report.Collector, error) {
+	pipe, err := engine.NewPipeline(engine.Options{Tools: AllTools(), Resolver: res})
 	if err != nil {
 		return nil, err
 	}
@@ -94,75 +88,43 @@ func RunOffline(res trace.Resolver, log []byte, shards int) (*report.Collector, 
 	return pipe.Close()
 }
 
-// MatrixResult is the outcome of one scenario variant run through every
-// pipeline shape at one scheduler seed.
+// MatrixResult is the outcome of one scenario variant run live and offline
+// at one scheduler seed.
 type MatrixResult struct {
-	// Formats maps shape name ("live-seq", "offline-shard4", ...) to the
-	// fully rendered report. All values must be byte-identical.
-	Formats map[string]string
-	// Order lists the shape names in run order (Formats is a map).
-	Order []string
-	// Canonical is the collector of the first live run; Resolver resolves
-	// its stacks and blocks.
+	// Live and Offline are the fully rendered reports of the two runs. They
+	// must be byte-identical.
+	Live, Offline string
+	// Canonical is the collector of the live run; Resolver resolves its
+	// stacks and blocks.
 	Canonical *report.Collector
 	Resolver  trace.Resolver
 }
 
-// Mismatch compares all reports and returns "" when they are byte-identical,
-// otherwise a description naming the first differing pair.
+// Mismatch returns "" when the live and offline reports are byte-identical,
+// otherwise a description showing both.
 func (m *MatrixResult) Mismatch() string {
-	if len(m.Order) == 0 {
+	if m.Live == m.Offline {
 		return ""
 	}
-	ref := m.Order[0]
-	for _, name := range m.Order[1:] {
-		if m.Formats[name] != m.Formats[ref] {
-			return fmt.Sprintf("report mismatch between %s and %s:\n--- %s ---\n%s\n--- %s ---\n%s",
-				ref, name, ref, m.Formats[ref], name, m.Formats[name])
-		}
-	}
-	return ""
+	return fmt.Sprintf("report mismatch between live and offline:\n--- live ---\n%s\n--- offline ---\n%s", m.Live, m.Offline)
 }
 
-// RunMatrix runs one scenario variant through {sequential, shards...} ×
-// {live, offline} under the full registry at one scheduler seed.
-func RunMatrix(s *Scenario, buggy bool, schedSeed int64, shardCounts []int) (*MatrixResult, error) {
-	m := &MatrixResult{Formats: make(map[string]string)}
-	add := func(name, format string) {
-		m.Formats[name] = format
-		m.Order = append(m.Order, name)
+// RunMatrix runs one scenario variant {live, offline} under the full
+// registry at one scheduler seed.
+func RunMatrix(s *Scenario, buggy bool, schedSeed int64) (*MatrixResult, error) {
+	res, err := RunLive(s, buggy, schedSeed)
+	if err != nil {
+		return nil, err
 	}
-	shapeName := func(prefix string, shards int) string {
-		if shards <= 1 {
-			return prefix + "-seq"
-		}
-		return fmt.Sprintf("%s-shard%d", prefix, shards)
-	}
-
-	for _, shards := range shardCounts {
-		res, err := RunLive(s, buggy, schedSeed, shards)
-		if err != nil {
-			return nil, err
-		}
-		add(shapeName("live", shards), res.Report())
-		if m.Canonical == nil {
-			m.Canonical = res.Collector
-			m.Resolver = res.VM
-		}
-	}
-
 	recVM, log, err := Record(s, buggy, schedSeed)
 	if err != nil {
 		return nil, err
 	}
-	for _, shards := range shardCounts {
-		col, err := RunOffline(recVM, log, shards)
-		if err != nil {
-			return nil, err
-		}
-		add(shapeName("offline", shards), col.Format())
+	col, err := RunOffline(recVM, log)
+	if err != nil {
+		return nil, err
 	}
-	return m, nil
+	return &MatrixResult{Live: res.Report(), Offline: col.Format(), Canonical: res.Collector, Resolver: res.VM}, nil
 }
 
 // CountEvents decodes a log just to count its events.

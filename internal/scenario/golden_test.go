@@ -63,7 +63,7 @@ func TestGoldenCorpusReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", want.Name, err)
 		}
-		col, err := RunOffline(recVM, log, 1)
+		col, err := RunOffline(recVM, log)
 		if err != nil {
 			t.Fatalf("%s: offline replay: %v", want.Name, err)
 		}
@@ -79,7 +79,7 @@ func TestGoldenCorpusReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", want.Name, err)
 		}
-		ctlCol, err := RunOffline(ctlVM, ctlLog, 1)
+		ctlCol, err := RunOffline(ctlVM, ctlLog)
 		if err != nil {
 			t.Fatalf("%s: offline replay: %v", want.Name, err)
 		}

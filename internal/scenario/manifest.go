@@ -133,7 +133,7 @@ func VerifyCorpus(dir string) ([]string, error) {
 				badf("%s: committed %s differs from regenerated trace", want.Name, f.name)
 			}
 		}
-		res, err := RunLive(s, true, want.SchedSeed, 1)
+		res, err := RunLive(s, true, want.SchedSeed)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", want.Name, err)
 		}

@@ -11,8 +11,8 @@ import (
 )
 
 // The committed report-digest file pins the *rendered output* of the full
-// six-tool registry over the golden corpus, across every pipeline shape:
-// {sequential, 4-shard} × {live, offline} × {buggy, control}. Where the
+// six-tool registry over the golden corpus, across {live, offline} ×
+// {buggy, control}. Where the
 // trace manifest pins the generator and the encoding, this file pins the
 // detectors themselves — an internal state-layout change (dense indices,
 // epoch fast paths, slab-backed shadow, transition-memoised lock-sets) that
@@ -50,19 +50,17 @@ func goldenReportDigests(t *testing.T) map[string]string {
 			if err != nil {
 				t.Fatalf("%s: %v", want.Name, err)
 			}
-			for _, shards := range []int{1, 4} {
-				res, err := RunLive(s, buggy, want.SchedSeed, shards)
-				if err != nil {
-					t.Fatalf("%s: live: %v", want.Name, err)
-				}
-				out[fmt.Sprintf("%s.%s.live-%d", want.Name, variant, shards)] = Digest([]byte(res.Report()))
-
-				col, err := RunOffline(recVM, log, shards)
-				if err != nil {
-					t.Fatalf("%s: offline: %v", want.Name, err)
-				}
-				out[fmt.Sprintf("%s.%s.offline-%d", want.Name, variant, shards)] = Digest([]byte(col.Format()))
+			res, err := RunLive(s, buggy, want.SchedSeed)
+			if err != nil {
+				t.Fatalf("%s: live: %v", want.Name, err)
 			}
+			out[fmt.Sprintf("%s.%s.live-1", want.Name, variant)] = Digest([]byte(res.Report()))
+
+			col, err := RunOffline(recVM, log)
+			if err != nil {
+				t.Fatalf("%s: offline: %v", want.Name, err)
+			}
+			out[fmt.Sprintf("%s.%s.offline-1", want.Name, variant)] = Digest([]byte(col.Format()))
 		}
 	}
 	return out

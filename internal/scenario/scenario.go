@@ -13,9 +13,8 @@
 // has a bug-free control variant whose report must be empty under all tools.
 //
 // The conformance harness (conformance.go) runs each generated program
-// through the whole tool registry under every pipeline shape — sequential
-// and sharded, live and offline-replay — and asserts that the reports are
-// byte-identical across shapes, that no planted bug is missed, and that the
+// through the whole tool registry both live and as an offline replay of its
+// recorded trace, and asserts that the two reports are byte-identical, that no planted bug is missed, and that the
 // control variant is clean. Failures print the generator and scheduler seeds,
 // so any finding is reproducible with cmd/scenariogen.
 //

@@ -6,10 +6,10 @@ import (
 )
 
 // The differential conformance suite: every generated scenario runs through
-// all six tools under every pipeline shape — {sequential, 4-shard, 8-shard}
-// × {live, offline-replay} — across several scheduler seeds, asserting
+// all six tools both live and as an offline replay of its recorded trace,
+// across several scheduler seeds, asserting
 //
-//	(a) the rendered report is byte-identical across all six shapes,
+//	(a) the rendered report is byte-identical between live and offline,
 //	(b) every planted bug is reported by its expected tool(s) and invisible
 //	    to its absent-listed tools (zero catalog false negatives), and
 //	(c) the bug-free control variant produces zero warnings.
@@ -23,8 +23,6 @@ const (
 	conformanceScenarios = 21 // ≥ 3 × catalog size: every kind forced thrice
 	conformanceSeeds     = 3  // scheduler seeds per scenario
 )
-
-var conformanceShards = []int{1, 4, 8}
 
 func conformanceCorpus() []*Scenario {
 	out := make([]*Scenario, 0, conformanceScenarios)
@@ -42,7 +40,7 @@ func TestConformanceMatrix(t *testing.T) {
 				repro := fmt.Sprintf("reproduce: go run ./cmd/scenariogen -seed %d -sched %d -report", s.Seed, sched)
 
 				// Buggy variant: determinism + planted-bug contract.
-				m, err := RunMatrix(s, true, sched, conformanceShards)
+				m, err := RunMatrix(s, true, sched)
 				if err != nil {
 					t.Fatalf("sched %d buggy: %v\n%s", sched, err, repro)
 				}
@@ -54,7 +52,7 @@ func TestConformanceMatrix(t *testing.T) {
 				}
 
 				// Control variant: determinism + zero warnings.
-				mc, err := RunMatrix(s, false, sched, conformanceShards)
+				mc, err := RunMatrix(s, false, sched)
 				if err != nil {
 					t.Fatalf("sched %d control: %v\n%s", sched, err, repro)
 				}
@@ -76,7 +74,7 @@ func TestConformanceTally(t *testing.T) {
 	totals := make(map[string]*FamilyTally)
 	var order []string
 	for _, s := range conformanceCorpus() {
-		res, err := RunLive(s, true, 1, 1)
+		res, err := RunLive(s, true, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}

@@ -35,9 +35,9 @@ type Rule struct {
 }
 
 // File is a parsed suppression file. One File may be shared by concurrent
-// consumers (the parallel engine hands the same File to every shard
-// collector): matching reads only immutable rule data, and the hit counters
-// are mutex-protected.
+// consumers (the pipeline hands the same File to every tool collector, and
+// sessions may share one): matching reads only immutable rule data, and the
+// hit counters are mutex-protected.
 type File struct {
 	Rules []Rule
 	mu    sync.Mutex

@@ -10,7 +10,7 @@ import "fmt"
 //
 // SafeSink is not safe for concurrent use; like any Sink it expects the
 // sequential event delivery the VM and the replay paths provide (the
-// parallel engine gives every shard its own SafeSink).
+// pipeline gives every tool its own SafeSink).
 type SafeSink struct {
 	inner    Sink
 	err      error
@@ -119,7 +119,7 @@ var _ Sink = (*SafeSink)(nil)
 
 // Fanout returns a Sink that forwards every event to each of the given
 // sinks in order, so several tools can share one event stream slot (e.g.
-// one engine shard running lockset and DJIT side by side).
+// lockset and DJIT side by side on one VM).
 func Fanout(sinks ...Sink) Sink { return fanout(sinks) }
 
 type fanout []Sink

@@ -9,7 +9,7 @@ func TestRoutingStrings(t *testing.T) {
 	want := map[Routing]string{
 		RouteBlock:     "block-routed",
 		RouteBroadcast: "broadcast",
-		RouteSingle:    "single-shard",
+		RouteSingle:    "whole-stream",
 	}
 	for r, s := range want {
 		if r.String() != s {

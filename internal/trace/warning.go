@@ -81,7 +81,7 @@ type Warning struct {
 	// Seq is the global event sequence number of the first occurrence, when
 	// a sequencer is installed on the collector (SetSequencer). The analysis
 	// engine uses it to restore the single-pass first-seen order when merging
-	// per-tool (and per-shard) collectors; it is 0 otherwise.
+	// per-tool collectors; it is 0 otherwise.
 	Seq uint64
 }
 

@@ -31,9 +31,9 @@ const (
 
 // Event is one decoded log event in a uniform representation. Only the
 // fields relevant to Op are meaningful. Holding events as values (rather
-// than delivering them straight into sinks, as Replay does) is what lets the
-// parallel engine decode a log once and dispatch the same event to several
-// shard workers.
+// than delivering them straight into sinks, as Replay does) is what lets a
+// caller inspect or filter an event between decode and delivery, as the
+// ingest sampler does.
 type Event struct {
 	Op Op
 	// Access is set for OpAccess.
