@@ -241,7 +241,13 @@
 // hybrid take FastTrack-style same-epoch fast paths on repeated accesses
 // (skipping state stores, never race checks), and lockset.SetTable memoises
 // lock-set transitions so the canonical-set probe runs once per new edge,
-// not once per event. The whole layout change is pinned byte-exact by
+// not once per event. On the warning-heavy path, a tool folds a repeat
+// occurrence into its site through trace.Reporter.Fold before building the
+// warning, and the collector asks the suppressor once per site; DJIT and
+// hybrid keep a read set that one thread filled inline as its latest read
+// epoch (vclock.ReadSet), allocating a per-cell clock only when a second
+// thread reads before the next write; and segment clocks are copied into a
+// chunked vclock.Arena. The whole layout change is pinned byte-exact by
 // TestGoldenReportDigests against report digests committed before it.
 // TestZeroAlloc* budget tests pin the allocation claims; BENCH_<date>.json
 // files at the repo root record the ns/event and allocs/event trajectory

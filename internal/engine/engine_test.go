@@ -6,12 +6,10 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/cppmodel"
 	"repro/internal/engine"
-	"repro/internal/libc"
+	"repro/internal/harness"
 	"repro/internal/lockset"
 	"repro/internal/report"
-	"repro/internal/sip"
 	"repro/internal/sipp"
 	"repro/internal/suppress"
 	"repro/internal/trace"
@@ -25,30 +23,15 @@ import (
 // as the stack/block resolver for reports.
 func recordSIP(t testing.TB) ([]byte, *vm.VM) {
 	t.Helper()
-	var buf bytes.Buffer
-	rec := tracelog.NewRecorder(&buf)
-	v := vm.New(vm.Options{Seed: 1, Quantum: 3})
-	v.AddTool(rec)
-	rt := cppmodel.NewRuntime(cppmodel.Options{AnnotateDeletes: true, ForceNew: true})
 	tc, ok := sipp.CaseByID("T2")
 	if !ok {
 		t.Fatal("case T2 missing")
 	}
-	err := v.Run(func(main *vm.Thread) {
-		lc := libc.New(main)
-		srv := sip.NewServer(v, rt, lc, sip.Config{Bugs: sip.PaperBugs()})
-		srv.Start(main)
-		sink := tc.Drive(main, srv, srv.Config().Domains)
-		srv.Stop(main)
-		main.Join(sink)
-	})
+	v, log, err := harness.RecordCase(tc, 1)
 	if err != nil {
-		t.Fatalf("record run: %v", err)
+		t.Fatal(err)
 	}
-	if err := rec.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	return buf.Bytes(), v
+	return log, v
 }
 
 // paperConfigs mirrors harness.PaperConfigs without importing harness.

@@ -6,6 +6,7 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -17,6 +18,7 @@ import (
 	"repro/internal/sipp"
 	"repro/internal/suppress"
 	"repro/internal/trace"
+	"repro/internal/tracelog"
 	"repro/internal/vm"
 )
 
@@ -194,6 +196,34 @@ func RunCase(tc sipp.TestCase, det DetectorConfig, opt RunOptions) (*Result, err
 		res.ByFamily[Classify(w, v)]++
 	}
 	return res, nil
+}
+
+// RecordCase executes one test case against the paper's buggy server — every
+// seeded bug, annotated deletes, GLIBCPP_FORCE_NEW, scheduling quantum 3 —
+// with only the trace recorder attached, and returns the machine (for
+// stack/block resolution) plus the encoded binary log: the racy,
+// warning-heavy input of offline replay.
+func RecordCase(tc sipp.TestCase, seed int64) (*vm.VM, []byte, error) {
+	var buf bytes.Buffer
+	rec := tracelog.NewRecorder(&buf)
+	v := vm.New(vm.Options{Seed: seed, Quantum: 3})
+	v.AddTool(rec)
+	rt := cppmodel.NewRuntime(cppmodel.Options{AnnotateDeletes: true, ForceNew: true})
+	err := v.Run(func(main *vm.Thread) {
+		lc := libc.New(main)
+		srv := sip.NewServer(v, rt, lc, sip.Config{Bugs: sip.PaperBugs()})
+		srv.Start(main)
+		sink := tc.Drive(main, srv, srv.Config().Domains)
+		srv.Stop(main)
+		main.Join(sink)
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("harness: record case %s: %w", tc.ID, err)
+	}
+	if err := rec.Flush(); err != nil {
+		return nil, nil, fmt.Errorf("harness: record case %s: %w", tc.ID, err)
+	}
+	return v, buf.Bytes(), nil
 }
 
 // Classify maps one warning site to its family using the allocation tag and

@@ -218,10 +218,13 @@ func (d *refDetector) report(l trace.LockID, m, bad *refView) {
 	})
 }
 
-// captured records every warning in arrival order.
+// captured records every warning in arrival order; its Fold declines, so
+// every occurrence arrives through Add.
 type captured []report.Warning
 
 func (c *captured) Add(w report.Warning) bool { *c = append(*c, w); return true }
+
+func (c *captured) Fold(string, report.Kind, trace.StackID) bool { return false }
 
 // op is one handler call of a generated stream.
 type op struct {

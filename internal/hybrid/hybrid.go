@@ -48,22 +48,20 @@ type cell struct {
 	// Lock-set side.
 	set    lockset.SetID
 	inited bool
-	// Happens-before side. readsClean marks the read clock as holding
-	// nothing newer than the last write, so repeated writes at one epoch
-	// skip the read-set scan.
-	lastWrite  vclock.Epoch
-	writeStk   trace.StackID
-	reads      vclock.VC
-	lastRead   vclock.Epoch
-	readStk    trace.StackID
-	reported   bool
-	readsClean bool
+	// Happens-before side: the last write and the reads since it. A read
+	// set that only one thread filled stays inline (see vclock.ReadSet).
+	lastWrite vclock.Epoch
+	writeStk  trace.StackID
+	reads     vclock.ReadSet
+	readStk   trace.StackID
+	reported  bool
 }
 
 // Detector is the hybrid tool. Like its two parents, per-ID state sits in
 // flat slices behind dense remappers, lock-sets are maintained incrementally
 // through memoised transition edges, vector-clock components are indexed by
-// dense thread number, and block shadow is slab-recycled on free.
+// dense thread number, segment clocks are carved from an arena, and block
+// shadow is slab-recycled on free.
 type Detector struct {
 	trace.BaseSink
 	cfg     Config
@@ -77,7 +75,8 @@ type Detector struct {
 	threads []threadState
 	locks   []vclock.VC
 	syncs   []vclock.VC
-	segVC   []vclock.VC
+	segVC   []vclock.VC // clocks captured at segment starts, from segMem
+	segMem  vclock.Arena
 	msgs    map[int64]vclock.VC
 	msgPool []vclock.VC
 	shadow  [][]cell
@@ -176,7 +175,7 @@ func (d *Detector) Segment(ss *trace.SegmentStart) {
 	ts.vc = ts.vc.Tick(ti)
 	si := d.segIx.Index(int32(ss.Seg))
 	d.segVC = growVCs(d.segVC, si)
-	d.segVC[si] = vclock.CopyInto(d.segVC[si], ts.vc)
+	d.segVC[si] = d.segMem.Copy(ts.vc)
 }
 
 // Acquire implements trace.Sink: the held sets advance by one memoised
@@ -330,28 +329,21 @@ func (d *Detector) Access(a *trace.Access) {
 				unordered = true
 				prevStack = c.writeStk
 			}
-			if c.lastRead == epoch {
-				c.readStk = a.Stack
-			} else {
-				c.reads = c.reads.Set(ti, epoch.C)
-				c.lastRead = epoch
-				c.readsClean = false
-				c.readStk = a.Stack
+			if c.reads.Last() != epoch {
+				c.reads.Add(epoch)
 			}
+			c.readStk = a.Stack
 		} else {
 			if !c.lastWrite.Zero() && !c.lastWrite.HappensBefore(ts.vc) {
 				unordered = true
 				prevStack = c.writeStk
-			} else if !c.readsClean && !c.reads.LEQ(ts.vc) {
+			} else if !c.reads.Before(ts.vc) {
 				unordered = true
 				prevStack = c.readStk
 			}
 			c.lastWrite = epoch
 			c.writeStk = a.Stack
-			if !c.readsClean {
-				c.reads.Clear()
-				c.readsClean = true
-			}
+			c.reads.Clear()
 		}
 
 		if disciplineBroken && unordered && !c.reported {

@@ -426,7 +426,11 @@ func (d *Detector) reportWithSet(g *gran, a *trace.Access, gi int, prev state, p
 	d.races++
 	// Every violating access reports; the collector deduplicates per call
 	// stack, which matches how Helgrind output is triaged (and suppressed)
-	// in practice — by stack pattern, one "location" per distinct site.
+	// in practice — by stack pattern, one "location" per distinct site. A
+	// repeat folds into its site before its state text is formatted.
+	if d.col.Fold(d.cfg.Tool, report.KindRace, a.Stack) {
+		return
+	}
 	stateDesc := prev.String()
 	switch {
 	case prev == stExclusive:

@@ -535,3 +535,25 @@ func TestSetTableIntersectionProperties(t *testing.T) {
 
 // fakeVptr is a fake vtable pointer value used by destructor tests.
 const fakeVptr uint64 = 0xC0FFEE
+
+// TestZeroAllocRepeatOccurrence pins the lock-set detector's repeat
+// violation: an unlocked write to a shared-modified granule reports every
+// time, and once its site exists the report folds into it before any state
+// text is formatted, allocating nothing.
+func TestZeroAllocRepeatOccurrence(t *testing.T) {
+	col := report.NewCollector(nil, nil)
+	d := New(ConfigHWLCDR(), col)
+	d.Alloc(&trace.Block{ID: 1, Base: 0x1000, Size: 8})
+	write := func(th trace.ThreadID) {
+		d.Access(&trace.Access{Thread: th, Seg: trace.SegmentID(th), Block: 1, Addr: 0x1000, Size: 4, Kind: trace.Write, Stack: 5})
+	}
+	write(1)
+	write(2) // concurrent unlocked write: shared modified, first report
+	if allocs := testing.AllocsPerRun(100, func() { write(2) }); allocs != 0 {
+		t.Errorf("repeat violation allocated %.1f per report, want 0", allocs)
+	}
+	if d.DynamicRaces() != 102 || col.Locations() != 1 || col.Sites()[0].Count != 102 {
+		t.Errorf("races=%d locations=%d count=%d, want 102/1/102",
+			d.DynamicRaces(), col.Locations(), col.Sites()[0].Count)
+	}
+}

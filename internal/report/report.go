@@ -50,12 +50,15 @@ type Collector struct {
 	sites      map[SiteKey]*Warning
 	order      []SiteKey
 	locs       map[trace.StackID]LocKey
+	quiet      map[SiteKey]struct{} // sites the suppressor matched
 	suppressed int
 	total      int
 }
 
 // NewCollector creates a collector. res resolves stacks and blocks for
-// formatting and suppression matching; sup may be nil.
+// formatting and suppression matching; sup may be nil. sup must decide from
+// its arguments alone: the collector asks it once per site and folds every
+// later occurrence at a suppressed site without asking again.
 func NewCollector(res trace.Resolver, sup Suppressor) *Collector {
 	return &Collector{
 		res:   res,
@@ -73,27 +76,56 @@ func (c *Collector) SetSequencer(fn func() uint64) { c.seq = fn }
 // Add records a warning occurrence, implementing trace.Reporter. The first
 // occurrence at a site retains its details; later ones only bump the count.
 // Add reports whether the warning was a new site (neither folded nor
-// suppressed).
+// suppressed). Only a new site copies w to the heap.
 func (c *Collector) Add(w Warning) bool {
-	c.total++
 	key := SiteKey{Tool: w.Tool, Kind: w.Kind, Loc: c.locKey(w.Stack)}
-	if prev, ok := c.sites[key]; ok {
-		prev.Count++
+	if c.fold(key) {
 		return false
 	}
+	c.total++
 	if c.seq != nil {
 		w.Seq = c.seq()
 	}
 	if c.sup != nil && c.res != nil {
 		if c.sup.Suppressed(w.Kind.Category(), c.res.Stack(w.Stack)) {
+			// Every later occurrence of the key gets the same decision:
+			// equal resolved digests mean equal frames, and a raw digest
+			// names one stack, whose frames a resolver only ever adds.
+			if c.quiet == nil {
+				c.quiet = make(map[SiteKey]struct{})
+			}
+			c.quiet[key] = struct{}{}
 			c.suppressed++
 			return false
 		}
 	}
-	w.Count = 1
-	c.sites[key] = &w
+	site := new(Warning)
+	*site = w
+	site.Count = 1
+	c.sites[key] = site
 	c.order = append(c.order, key)
 	return true
+}
+
+// Fold implements trace.Reporter: it counts one more occurrence at an
+// existing recorded or suppressed site, exactly as Add would for a repeat,
+// and reports whether the site existed. Folding allocates nothing.
+func (c *Collector) Fold(tool string, kind Kind, stack trace.StackID) bool {
+	return c.fold(SiteKey{Tool: tool, Kind: kind, Loc: c.locKey(stack)})
+}
+
+func (c *Collector) fold(key SiteKey) bool {
+	if prev, ok := c.sites[key]; ok {
+		prev.Count++
+		c.total++
+		return true
+	}
+	if _, ok := c.quiet[key]; ok {
+		c.suppressed++
+		c.total++
+		return true
+	}
+	return false
 }
 
 var _ trace.Reporter = (*Collector)(nil)
@@ -102,7 +134,8 @@ var _ trace.Reporter = (*Collector)(nil)
 // same sites, order, counts and totals, sharing no mutable state with the
 // original. Warnings added to either side afterwards are invisible to the
 // other. The clone carries no sequencer — it is a frozen checkpoint meant for
-// formatting and merging, not for further collection on a live stream.
+// formatting and merging, not for further collection on a live stream — and
+// no memo of suppressed sites, which Add rebuilds with the same decisions.
 func (c *Collector) Clone() *Collector {
 	out := &Collector{
 		res:        c.res,

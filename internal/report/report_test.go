@@ -190,3 +190,59 @@ func TestCompactTail(t *testing.T) {
 		t.Error("occurrence at a kept site opened a new site after compaction")
 	}
 }
+
+// countingSuppressor suppresses every warning and counts its decisions.
+type countingSuppressor struct{ calls int }
+
+func (s *countingSuppressor) Suppressed(string, []trace.Frame) bool { s.calls++; return true }
+
+func TestSuppressedRepeatsFold(t *testing.T) {
+	sup := &countingSuppressor{}
+	c := NewCollector(newResolver(), sup)
+	for i := 0; i < 3; i++ {
+		c.Add(Warning{Tool: "x", Kind: KindRace, Stack: 1, State: "s"})
+	}
+	if !c.Fold("x", KindRace, 1) {
+		t.Error("Fold did not find the suppressed site")
+	}
+	if c.Fold("x", KindRace, 2) || c.Fold("y", KindRace, 1) {
+		t.Error("Fold found a site that was never added")
+	}
+	if sup.calls != 1 {
+		t.Errorf("suppressor consulted %d times for one site, want 1", sup.calls)
+	}
+	if c.Locations() != 0 || c.SuppressedSites() != 4 || c.Occurrences() != 0 {
+		t.Errorf("locations=%d suppressed=%d occurrences=%d, want 0/4/0",
+			c.Locations(), c.SuppressedSites(), c.Occurrences())
+	}
+	cl := c.Clone()
+	cl.Add(Warning{Tool: "x", Kind: KindRace, Stack: 1})
+	if sup.calls != 2 || cl.SuppressedSites() != 5 || c.SuppressedSites() != 4 {
+		t.Errorf("clone: calls=%d suppressed=%d (original %d), want 2/5/4", sup.calls, cl.SuppressedSites(), c.SuppressedSites())
+	}
+}
+
+// TestZeroAllocRepeatOccurrence pins the fold of a repeat occurrence: once
+// a site exists, recorded or suppressed, counting another occurrence there
+// — through Fold, or through Add with a fully built warning — allocates
+// nothing.
+func TestZeroAllocRepeatOccurrence(t *testing.T) {
+	rec := NewCollector(newResolver(), nil)
+	sup := NewCollector(newResolver(), muteAll{})
+	w := Warning{Tool: "x", Kind: KindRace, Stack: 1, State: "shared modified, no locks"}
+	for _, c := range []*Collector{rec, sup} {
+		c.Add(w)
+		for name, fold := range map[string]func(){
+			"Fold": func() { c.Fold("x", KindRace, 1) },
+			"Add":  func() { c.Add(w) },
+		} {
+			if allocs := testing.AllocsPerRun(100, fold); allocs != 0 {
+				t.Errorf("%s of a repeat (suppressed=%v) allocated %.1f per call, want 0",
+					name, c == sup, allocs)
+			}
+		}
+	}
+	if rec.Sites()[0].Count != 203 || sup.SuppressedSites() != 203 {
+		t.Errorf("count=%d suppressed=%d, want 203 each", rec.Sites()[0].Count, sup.SuppressedSites())
+	}
+}

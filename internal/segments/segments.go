@@ -27,14 +27,17 @@ type segment struct {
 // are remapped onto dense indices so lookups on the access hot path (the
 // EXCLUSIVE-state ownership-transfer query) are array loads rather than map
 // probes, and the per-segment vector clocks are indexed by dense thread
-// number, keeping them as short as the number of threads actually seen.
+// number, keeping them as short as the number of threads actually seen,
+// and copied into an arena, since a segment's clock never changes.
 // It is not safe for concurrent use; the VM delivers events sequentially.
 type Graph struct {
 	mask     trace.EdgeMask
 	segIx    trace.Dense // SegmentID -> index into segs
 	thIx     trace.Dense // ThreadID -> index into perTh and vc components
 	segs     []segment
-	perTh    []uint32 // last issued clock per dense thread
+	perTh    []uint32     // last issued clock per dense thread
+	scratch  vclock.VC    // the clock under construction in Add
+	clocks   vclock.Arena // backs every segment's vc
 	segCount int
 }
 
@@ -59,7 +62,12 @@ func (g *Graph) Add(ss *trace.SegmentStart) {
 	}
 	clock := g.perTh[ti] + 1
 	g.perTh[ti] = clock
-	vc := vclock.New(g.thIx.Cap() - 1)
+	n := g.thIx.Cap()
+	if cap(g.scratch) < n {
+		g.scratch = vclock.New(n - 1)
+	}
+	vc := g.scratch[:n]
+	vc.Clear()
 	for _, e := range ss.In {
 		if !g.mask.Has(e.Kind) {
 			continue
@@ -78,7 +86,7 @@ func (g *Graph) Add(ss *trace.SegmentStart) {
 	for len(g.segs) <= si {
 		g.segs = append(g.segs, segment{})
 	}
-	g.segs[si] = segment{thread: ss.Thread, thIdx: int32(ti), clock: clock, vc: vc}
+	g.segs[si] = segment{thread: ss.Thread, thIdx: int32(ti), clock: clock, vc: g.clocks.Copy(vc)}
 	g.segCount++
 }
 

@@ -130,7 +130,9 @@ func (f *File) Suppressed(kind string, frames []trace.Frame) bool {
 	return false
 }
 
-// Hits returns per-rule match counts (useful for pruning stale rules).
+// Hits returns per-rule match counts (useful for pruning stale rules). A
+// report.Collector asks once per warning site, so through a collector a
+// rule's count is the number of sites it suppressed, not of occurrences.
 func (f *File) Hits() map[string]int {
 	f.mu.Lock()
 	defer f.mu.Unlock()

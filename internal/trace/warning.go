@@ -89,8 +89,20 @@ type Warning struct {
 // implementation; tools hold a Reporter rather than the concrete collector so
 // that their constructors can be packaged as ToolSpec factories without an
 // import cycle.
+//
+// A buggy program keeps hitting the same few sites, so most occurrences a
+// tool reports repeat one it reported before. Fold lets a tool count such a
+// repeat without building its Warning (whose State text may need
+// formatting): a tool that calls Fold first builds and Adds a warning only
+// when Fold returns false. Either way the reporter counts the occurrence
+// exactly once.
 type Reporter interface {
 	// Add records one warning occurrence and reports whether it opened a new
 	// site (neither folded into an existing one nor suppressed).
 	Add(w Warning) bool
+	// Fold records one occurrence at the existing (tool, kind, stack) site,
+	// recorded or suppressed, and returns true; it returns false and records
+	// nothing when no such site exists yet, in which case the caller Adds the
+	// full warning. Fold must not allocate on the true path.
+	Fold(tool string, kind Kind, stack StackID) bool
 }

@@ -123,3 +123,54 @@ func TestLEQPartialOrder(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestArenaCopiesAreSealed(t *testing.T) {
+	var a Arena
+	x := a.Copy(VC{1, 2, 3})
+	y := a.Copy(VC{4, 5})
+	if len(x) != 3 || cap(x) != 3 || len(y) != 2 || cap(y) != 2 {
+		t.Fatalf("copies len/cap = %d/%d and %d/%d, want 3/3 and 2/2", len(x), cap(x), len(y), cap(y))
+	}
+	x = x.Set(3, 9) // grows: must reallocate, not write into y
+	if y[0] != 4 || y[1] != 5 {
+		t.Errorf("growing one copy changed its neighbour: %v", y)
+	}
+	if big := a.Copy(make(VC, arenaChunk)); len(big) != arenaChunk {
+		t.Errorf("oversized copy has len %d", len(big))
+	}
+	if n := testing.AllocsPerRun(100, func() { a.Copy(VC{1, 2, 3, 4}) }); n > 0.01 {
+		t.Errorf("%.3f allocs per copy, want amortised ~0", n)
+	}
+}
+
+func TestReadSetMatchesFullClock(t *testing.T) {
+	f := func(ops []uint8) bool {
+		var rs ReadSet
+		var full VC
+		clocks := make([]uint32, 4)
+		for _, op := range ops {
+			th := int(op % 4)
+			switch op / 4 % 4 {
+			case 0: // read
+				clocks[th]++
+				rs.Add(Epoch{T: int32(th), C: clocks[th]})
+				full = full.Set(th, clocks[th])
+			case 1: // write: both must agree on the order, then clear
+				me := VC{}.Set(int(op/16%4), uint32(op/64))
+				if rs.Before(me) != full.LEQ(me) {
+					return false
+				}
+				rs.Clear()
+				full.Clear()
+			default:
+				if rs.Empty() != full.Bottom() {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

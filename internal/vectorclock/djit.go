@@ -21,8 +21,6 @@
 package vectorclock
 
 import (
-	"fmt"
-
 	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/vclock"
@@ -76,24 +74,23 @@ type access struct {
 	stack trace.StackID
 }
 
-// shadowCell is the per-granule shadow: the last write epoch and, per
-// thread, the last read epoch (compacted: a full VC plus one stack).
-// readsClean means the read clock holds no reads newer than the last write,
-// which lets repeated writes at one epoch skip the read-set scan entirely.
+// shadowCell is the per-granule shadow: the last write and the reads since
+// it, plus the stack of the latest read. A read set that only one thread
+// filled stays inline in the cell (see vclock.ReadSet).
 type shadowCell struct {
-	lastWrite  access
-	reads      vclock.VC
-	lastRead   access
-	reported   bool
-	readsClean bool
+	lastWrite access
+	reads     vclock.ReadSet
+	readStk   trace.StackID
+	reported  bool
 }
 
 // Detector is the vector-clock race detector tool. All per-ID state lives in
 // flat slices behind dense remappers (threads, locks, condition/semaphore
 // objects, segments, blocks); vector-clock components are indexed by dense
 // thread number so clocks stay as short as the thread count. Lock and
-// message clocks recycle their arrays instead of cloning fresh ones, and
-// block shadow is slab-backed and returned on free.
+// message clocks recycle their arrays instead of cloning fresh ones,
+// segment clocks are carved from an arena, and block shadow is slab-backed
+// and returned on free.
 type Detector struct {
 	trace.BaseSink
 	cfg     Config
@@ -106,7 +103,8 @@ type Detector struct {
 	threads []vclock.VC
 	locks   []vclock.VC
 	syncs   []vclock.VC
-	segVC   []vclock.VC // clocks captured at segment starts
+	segVC   []vclock.VC // clocks captured at segment starts, from segMem
+	segMem  vclock.Arena
 	msgs    map[int64]vclock.VC
 	msgPool []vclock.VC // retired message clocks, reused on the next put
 	shadow  [][]shadowCell
@@ -206,7 +204,7 @@ func (d *Detector) Segment(ss *trace.SegmentStart) {
 	d.threads[ti] = me
 	si := d.segIx.Index(int32(ss.Seg))
 	d.segVC = growVCs(d.segVC, si)
-	d.segVC[si] = vclock.CopyInto(d.segVC[si], me)
+	d.segVC[si] = d.segMem.Copy(me)
 }
 
 // ThreadExit implements trace.Sink: capture the final clock so joins can
@@ -339,17 +337,13 @@ func (d *Detector) Access(a *trace.Access) {
 			if !c.lastWrite.epoch.Zero() && !c.lastWrite.epoch.HappensBefore(me) {
 				d.report(c, a, c.lastWrite.stack)
 			}
-			if c.lastRead.epoch == epoch {
-				// Same-epoch read: the read clock already carries it.
-				c.lastRead.stack = a.Stack
-				continue
+			if c.reads.Last() != epoch {
+				c.reads.Add(epoch)
 			}
-			c.reads = c.reads.Set(ti, epoch.C)
-			c.readsClean = false
-			c.lastRead = access{epoch: epoch, stack: a.Stack}
+			c.readStk = a.Stack
 			continue
 		}
-		if c.readsClean && c.lastWrite.epoch == epoch {
+		if c.reads.Empty() && c.lastWrite.epoch == epoch {
 			// Same-epoch write with no intervening reads: nothing to check,
 			// nothing to store.
 			c.lastWrite.stack = a.Stack
@@ -358,12 +352,11 @@ func (d *Detector) Access(a *trace.Access) {
 		// Write: must be ordered after the last write and after all reads.
 		if !c.lastWrite.epoch.Zero() && !c.lastWrite.epoch.HappensBefore(me) {
 			d.report(c, a, c.lastWrite.stack)
-		} else if !c.reads.LEQ(me) {
-			d.report(c, a, c.lastRead.stack)
+		} else if !c.reads.Before(me) {
+			d.report(c, a, c.readStk)
 		}
 		c.lastWrite = access{epoch: epoch, stack: a.Stack}
 		c.reads.Clear()
-		c.readsClean = true
 	}
 }
 
@@ -384,7 +377,7 @@ func (d *Detector) report(c *shadowCell, a *trace.Access, prevStack trace.StackI
 		Access:    a.Kind,
 		Stack:     a.Stack,
 		PrevStack: prevStack,
-		State:     fmt.Sprintf("unordered with previous access by vector-clock"),
+		State:     "unordered with previous access by vector-clock",
 	})
 }
 
